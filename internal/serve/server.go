@@ -153,9 +153,9 @@ func (s *Server) Submit(spec experiments.Spec) (job *Job, coalesced bool, err er
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j, ok := s.active[key]; ok {
-		return j, true, nil
-	}
+	// The cache is consulted before the active set: a finished job stays
+	// in the active set until its worker's deferred cleanup runs, after its
+	// result is already cached, and a resubmission in that window is a hit.
 	if e, ok := s.cache.Get(key); ok {
 		j := newJob(s.nextIDLocked(), key, norm)
 		j.Cached = true
@@ -164,6 +164,9 @@ func (s *Server) Submit(spec experiments.Spec) (job *Job, coalesced bool, err er
 		close(j.finished)
 		s.jobs[j.ID] = j
 		return j, false, nil
+	}
+	if j, ok := s.active[key]; ok {
+		return j, true, nil
 	}
 	j := newJob(s.nextIDLocked(), key, norm)
 	select {

@@ -74,6 +74,40 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestSubmitPrefersCacheOverFinishedActiveJob pins that a resubmission
+// after a job's result is cached is a hit even while the finished job is
+// still in the active set.
+func TestSubmitPrefersCacheOverFinishedActiveJob(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	j, _, err := s.Submit(cheapSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Finished()
+	// Recreate the window between a job's completion and its worker's
+	// cleanup: the result is cached and the job is still in the active set.
+	for {
+		s.mu.Lock()
+		_, active := s.active[j.Key]
+		if !active {
+			s.active[j.Key] = j
+		}
+		s.mu.Unlock()
+		if !active {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	again, coalesced, err := s.Submit(cheapSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Cached || coalesced {
+		t.Errorf("resubmission: Cached=%v coalesced=%v, want a cache hit", again.Cached, coalesced)
+	}
+}
+
 // TestRunCacheHit pins the cache-correctness acceptance criterion: two
 // submissions of an identical spec produce byte-identical bodies, the
 // second marked as a hit with no new simulation.

@@ -28,6 +28,25 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 	s.RunUntilIdle(b.N + 10)
 }
 
+// BenchmarkProcSpawn prices a process's whole life: spawn (building its
+// coroutine), first dispatch and exit. A simulator keeps every process it
+// spawned until Shutdown, so the benchmark starts a fresh one every 1,024
+// processes to keep its heap small.
+func BenchmarkProcSpawn(b *testing.B) {
+	var s *Simulator
+	body := func(p *Proc) {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%1024 == 0 {
+			b.StopTimer()
+			s = New(1)
+			b.StartTimer()
+		}
+		s.Spawn("short", body)
+		s.RunUntilIdle(10)
+	}
+}
+
 func BenchmarkCondSignalWait(b *testing.B) {
 	s := New(1)
 	c := NewCond(s)

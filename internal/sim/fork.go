@@ -51,7 +51,7 @@ func (c *countingSource) clone() *countingSource {
 // and random stream are copies of s's at this instant. The event queue and
 // process set start empty: the owning subsystems re-arm their pending timers
 // (RestoreAt) and respawn their service processes, which is the only faithful
-// way to checkpoint a Go-goroutine-backed process — stacks cannot be cloned,
+// way to checkpoint a coroutine-backed process — stacks cannot be cloned,
 // so a fork point must be an instant where every live process is a service
 // loop that can be respawned equivalently.
 //

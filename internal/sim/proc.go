@@ -1,30 +1,48 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"time"
 )
 
 // killSentinel is the panic value used to unwind a killed process. It never
-// escapes the package: the process trampoline recovers it.
+// escapes the package: the process body wrapper recovers it.
 type killSentinel struct{ name string }
 
-// ErrKilled is returned by blocking operations that can observe their own
-// process being killed (none currently do — kill unwinds the stack — but the
-// sentinel is exported as an error for tests that inspect termination).
-var ErrKilled = fmt.Errorf("sim: process killed")
+// ProcPanic is the value a Simulator method (Run, RunUntilIdle, Shutdown, ...)
+// panics with when a process body panics. The process is already finished and
+// the scheduler state is consistent, so the caller may recover it and still
+// call Shutdown to release the remaining processes.
+type ProcPanic struct {
+	Proc  *Proc
+	Value any    // the value the process panicked with
+	Stack []byte // the process's own stack at the panic
+}
 
-// Proc is a simulated process: a goroutine that runs only when the simulator
+func (e *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: process %q panicked: %v\n\n%s", e.Proc.name, e.Value, e.Stack)
+}
+
+// Proc is a simulated process: a coroutine that runs only when the simulator
 // dispatches it and that returns control by blocking on one of the Proc
 // primitives (Sleep, Yield, Cond.Wait, ...). At most one Proc executes at any
-// moment.
+// moment. Dispatch and park are direct coroutine switches (iter.Pull), which
+// bypass the Go scheduler's run queue.
 type Proc struct {
-	sim    *Simulator
-	name   string
-	sched  chan struct{} // scheduler -> process: run now
-	parked chan struct{} // process -> scheduler: parked (or exited)
-	done   bool
-	killed bool
+	sim   *Simulator
+	name  string
+	next  func() (struct{}, bool) // scheduler -> process: run until the next park
+	stop  func()                  // retire the coroutine (Shutdown)
+	yield func(struct{}) bool     // process -> scheduler: park
+	// panicked holds a genuine panic of the body, re-raised by the scheduler
+	// after it has restored its own state.
+	panicked *ProcPanic
+	done     bool
+	killed   bool
 	// wakeSeq invalidates stale wakeups: every park increments it and a
 	// wakeup only dispatches if it carries the current value. This makes
 	// patterns like "wait with timeout" safe — the losing waker is a no-op.
@@ -34,41 +52,33 @@ type Proc struct {
 // Spawn creates a process executing fn and schedules its first dispatch at
 // the current instant. fn runs entirely on the simulated timeline.
 func (s *Simulator) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		sim:    s,
-		name:   name,
-		sched:  make(chan struct{}),
-		parked: make(chan struct{}),
-	}
+	p := &Proc{sim: s, name: name}
 	s.live++
 	s.procs = append(s.procs, p)
-	go func() {
-		<-p.sched // wait for first dispatch
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			r := recover()
-			if r != nil {
+			if r := recover(); r != nil {
 				if _, ok := r.(killSentinel); !ok {
-					// Re-panic genuine failures after marking the
-					// process dead so the scheduler is not wedged.
-					p.done = true
-					s.live--
-					close(p.parked)
-					panic(r)
+					p.panicked = &ProcPanic{Proc: p, Value: r, Stack: debug.Stack()}
 				}
 			}
-			p.done = true
-			s.live--
-			p.parked <- struct{}{}
+			p.exit()
 		}()
 		if p.killed {
-			// Killed (e.g. by Shutdown) before ever running: unwind without
-			// starting fn.
-			panic(killSentinel{p.name})
+			// Killed before ever running: finish without starting fn.
+			return
 		}
 		fn(p)
-	}()
+	})
 	s.atWake(s.now, p, p.prepare())
 	return p
+}
+
+// exit marks the process finished.
+func (p *Proc) exit() {
+	p.done = true
+	p.sim.live--
 }
 
 // Name returns the process name given at Spawn.
@@ -103,21 +113,27 @@ func (p *Proc) wake(tok uint64) {
 	p.dispatch()
 }
 
-// dispatch hands the CPU to the process and blocks until it parks again.
+// dispatch switches to the process and returns when it parks or finishes.
 func (p *Proc) dispatch() {
 	prev := p.sim.current
 	p.sim.current = p
-	p.sched <- struct{}{}
-	<-p.parked
+	p.next()
 	p.sim.current = prev
+	p.raise()
+}
+
+// raise re-panics a genuine panic of the process body on the scheduler side.
+func (p *Proc) raise() {
+	if p.panicked != nil {
+		panic(p.panicked)
+	}
 }
 
 // park returns control to the scheduler. The caller must already have
-// arranged a wakeup (via prepare + some event calling wake).
+// arranged a wakeup (via prepare + some event calling wake). A process that
+// was killed or stopped while parked unwinds instead of returning.
 func (p *Proc) park() {
-	p.parked <- struct{}{}
-	<-p.sched
-	if p.killed {
+	if !p.yield(struct{}{}) || p.killed {
 		panic(killSentinel{p.name})
 	}
 }
@@ -169,4 +185,19 @@ func (p *Proc) Kill() {
 	// Invalidate whatever wakeup the process was waiting for and dispatch
 	// it so park() observes the kill.
 	p.sim.atWake(p.sim.now, p, p.prepare())
+}
+
+// shutdown retires the process's coroutine: a parked body unwinds from its
+// park point (running its defers; any park inside a defer unwinds again), and
+// a body that never ran is never started.
+func (p *Proc) shutdown() {
+	p.killed = true
+	prev := p.sim.current
+	p.sim.current = p
+	p.stop()
+	p.sim.current = prev
+	if !p.done {
+		p.exit()
+	}
+	p.raise()
 }

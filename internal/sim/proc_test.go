@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -244,4 +245,137 @@ func TestShutdownIdempotentOnFinishedSim(t *testing.T) {
 	s.RunUntilIdle(100)
 	s.Shutdown()
 	s.Shutdown() // second call is a no-op
+}
+
+// waitGoroutines waits up to 5 s for the goroutine count to fall back to
+// baseline and reports whether it did.
+func waitGoroutines(baseline int) bool {
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return runtime.NumGoroutine() <= baseline
+}
+
+func explode() { panic("boom") }
+
+func TestProcPanicSurfacesOnRunCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New(1)
+	var defers atomic.Int32
+	for i := 0; i < 10; i++ {
+		s.Spawn("bystander", func(p *Proc) {
+			defer defers.Add(1)
+			p.Sleep(time.Hour)
+		})
+	}
+	bad := s.Spawn("bad", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		explode()
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		s.Run(Time(time.Second))
+	}()
+	pp, ok := got.(*ProcPanic)
+	if !ok {
+		t.Fatalf("Run panicked with %T %v, want *ProcPanic", got, got)
+	}
+	if pp.Proc != bad || pp.Value != "boom" {
+		t.Errorf("ProcPanic{Proc: %q, Value: %v}, want bad/boom", pp.Proc.Name(), pp.Value)
+	}
+	if !bytes.Contains(pp.Stack, []byte("explode")) {
+		t.Errorf("stack does not show the process's own frames:\n%s", pp.Stack)
+	}
+	if s.Current() != nil {
+		t.Errorf("Current() = %q after the panic, want nil", s.Current().Name())
+	}
+	if !bad.Done() || s.Live() != 10 {
+		t.Errorf("bad.Done=%v Live=%d, want true/10", bad.Done(), s.Live())
+	}
+	s.Shutdown()
+	if s.Live() != 0 || defers.Load() != 10 {
+		t.Errorf("after Shutdown Live=%d defers=%d, want 0/10", s.Live(), defers.Load())
+	}
+	if !waitGoroutines(before) {
+		t.Errorf("goroutines = %d, baseline %d: Shutdown after a panic leaked", runtime.NumGoroutine(), before)
+	}
+}
+
+func TestKillBeforeFirstDispatchNeverRuns(t *testing.T) {
+	s := New(1)
+	ran := false
+	p := s.Spawn("stillborn", func(p *Proc) { ran = true })
+	p.Kill()
+	s.RunUntilIdle(100)
+	if ran || !p.Done() || s.Live() != 0 {
+		t.Fatalf("ran=%v Done=%v Live=%d", ran, p.Done(), s.Live())
+	}
+}
+
+func TestShutdownUnwindsParkInDefer(t *testing.T) {
+	// A deferred cleanup that parks while the process is being shut down
+	// must not leave the process parked: the park unwinds again.
+	before := runtime.NumGoroutine()
+	s := New(1)
+	p := s.Spawn("stubborn", func(p *Proc) {
+		defer p.Sleep(time.Second)
+		p.Sleep(time.Hour)
+	})
+	s.RunFor(time.Millisecond)
+	s.Shutdown()
+	if !p.Done() || s.Live() != 0 {
+		t.Fatalf("Done=%v Live=%d", p.Done(), s.Live())
+	}
+	if !waitGoroutines(before) {
+		t.Errorf("goroutines = %d, baseline %d", runtime.NumGoroutine(), before)
+	}
+}
+
+func TestSpawnAndRunOnDifferentGoroutines(t *testing.T) {
+	// A simulator built on one goroutine and run, then shut down, on
+	// another — the serve warm pool's pattern. Run under -race.
+	before := runtime.NumGoroutine()
+	worlds := make(chan *Simulator)
+	go func() {
+		defer close(worlds)
+		for i := 0; i < 4; i++ {
+			s := New(int64(i))
+			c := NewCond(s)
+			for j := 0; j < 8; j++ {
+				s.Spawn("waiter", func(p *Proc) {
+					for {
+						c.Wait(p)
+					}
+				})
+			}
+			s.Spawn("signaller", func(p *Proc) {
+				for k := 0; k < 100; k++ {
+					c.Signal()
+					p.Sleep(time.Microsecond)
+				}
+			})
+			worlds <- s
+		}
+	}()
+	done := make(chan int64)
+	go func() {
+		var total int64
+		for s := range worlds {
+			s.RunFor(time.Second)
+			s.Shutdown()
+			if s.Live() != 0 {
+				t.Errorf("Live = %d after Shutdown", s.Live())
+			}
+			total += s.Dispatched()
+		}
+		done <- total
+	}()
+	if n := <-done; n == 0 {
+		t.Fatal("no events dispatched")
+	}
+	if !waitGoroutines(before) {
+		t.Errorf("goroutines = %d, baseline %d", runtime.NumGoroutine(), before)
+	}
 }

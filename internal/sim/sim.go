@@ -96,8 +96,8 @@ func (h *eventHeap) pop() *event {
 }
 
 // Simulator owns the simulated clock and the event queue. It is not safe for
-// use from multiple goroutines except through the process model, which
-// guarantees only one goroutine touches it at a time.
+// concurrent use: one goroutine at a time may drive it (Run, Shutdown, ...),
+// and the process model guarantees only one process touches it at a time.
 type Simulator struct {
 	now     Time
 	events  eventHeap
@@ -282,21 +282,20 @@ func (s *Simulator) Run(until Time) {
 // RunFor runs the simulation for duration d from the current instant.
 func (s *Simulator) RunFor(d time.Duration) { s.Run(s.now.Add(d)) }
 
-// Shutdown unwinds every live process, releasing the goroutine backing each
-// one. Without it a finished simulation leaks one parked goroutine per live
-// process — invisible in a run-once CLI, fatal in a long-lived daemon. Each
-// process is dispatched exactly once with its kill flag set, so it panics out
-// of its park point (running its defers) without executing further workload.
-// The simulator must not be used afterwards. Must be called from scheduler
+// Shutdown unwinds every live process, releasing the coroutine (and its
+// goroutine) backing each one. Without it a finished simulation leaks one
+// parked coroutine per live process — invisible in a run-once CLI, fatal in a
+// long-lived daemon. A parked process unwinds from its park point with its
+// kill flag set, running its defers without executing further workload; a
+// process that was never dispatched never starts. The simulator must not be
+// used afterwards, except that Shutdown may be called again (for example
+// after recovering a ProcPanic it raised). Must be called from scheduler
 // context (never from inside a process).
 func (s *Simulator) Shutdown() {
 	for _, p := range s.procs {
-		if p.done {
-			continue
+		if !p.done {
+			p.shutdown()
 		}
-		p.killed = true
-		p.prepare() // invalidate any queued wakeup so only this dispatch lands
-		p.dispatch()
 	}
 	s.procs = nil
 }

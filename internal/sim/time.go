@@ -8,8 +8,9 @@
 //   - A time-ordered event queue (Simulator.At / Simulator.After) with FIFO
 //     ordering among simultaneous events.
 //   - A cooperative process model (Simulator.Spawn) in which each process is
-//     a goroutine, but exactly one process runs at any instant; control is
-//     handed between the scheduler and processes over unbuffered channels.
+//     a coroutine (iter.Pull), and exactly one process runs at any instant;
+//     the scheduler switches directly into a process and the process
+//     switches directly back when it blocks.
 //     This keeps application-style code (threads that block on page faults,
 //     worker threads, schedulers) natural to write while preserving strict
 //     determinism.
