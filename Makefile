@@ -29,11 +29,10 @@ bench-sim:
 	$(GO) test -run=NONE -bench=. -benchmem -count=5 ./internal/sim
 
 # Price the checkpoint: the fork microbenchmark (wall cost of one fork plus
-# its deterministic copy accounting) and the full suite with and without
-# world forking. The sim_fork_* metrics are gated by `make bench`; this is
-# the quick local view of what forking buys.
+# its deterministic copy accounting). The sim_fork_* metrics are gated by
+# `make bench`; this is the quick local view of what one fork costs.
 bench-fork:
-	$(GO) test -run=NONE -bench='BenchmarkFork$$|BenchmarkSuiteForked' -benchtime=1x -benchmem .
+	$(GO) test -run=NONE -bench='BenchmarkFork$$' -benchtime=1x -benchmem .
 
 # Re-record the baseline (run on a quiet machine; commit the result).
 bench-baseline:

@@ -195,30 +195,19 @@ func BenchmarkFork(b *testing.B) {
 	b.ReportMetric(cowBytes, "sim_fork_cow_bytes")
 }
 
-// BenchmarkSuiteForked prices the whole evaluation suite with and without
-// world forking: the cold sub-benchmark boots every heavy cell from
-// scratch, the forked one warms each harness once and forks per cell.
-// Comparing the two ns/op figures is the headline wall-clock win of the
-// checkpoint work; the fork-equivalence tests pin that both produce the
-// same bytes.
-func BenchmarkSuiteForked(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		forked bool
-	}{{"cold", false}, {"forked", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var cells int
-			for i := 0; i < b.N; i++ {
-				out, err := experiments.RunSuiteForked(context.Background(), time.Second, 4, mode.forked)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cells = len(out)
-			}
-			b.ReportMetric(float64(cells), "suite_cells")
-		})
+// BenchmarkSuite prices the whole evaluation suite at a 1 s measure
+// window over 4 workers.
+func BenchmarkSuite(b *testing.B) {
+	b.ReportAllocs()
+	var cells int
+	for i := 0; i < b.N; i++ {
+		out, err := experiments.RunSuite(context.Background(), time.Second, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cells = len(out)
 	}
+	b.ReportMetric(float64(cells), "suite_cells")
 }
 
 func BenchmarkAblationLaxity(b *testing.B) {

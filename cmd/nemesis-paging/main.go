@@ -6,13 +6,6 @@
 //	-fig 0   run every ablation (laxity, FCFS, crosstalk, slack, revocation)
 //	-ext     run the extensions (pipeline depth, second chance, guarded
 //	         page table, stream paging)
-//	-forked=false
-//	         measure figs 7/8/9 and the suite's heavy cells on the warmed
-//	         world itself instead of on a fork of it; the outputs are
-//	         byte-identical either way, the fork just makes the warm-up
-//	         reusable (with -metrics the run prints the measured
-//	         fork-vs-boot wall times). -timeline and -simprofile always use
-//	         the legacy in-place harness.
 //	-e8 sweep|outage|degrade|all
 //	         run the netswap experiments (remote paging over a simulated
 //	         network: latency/loss sweep, outage isolation, tiered
@@ -30,6 +23,12 @@
 //	         writes ONE merged Perfetto trace — a process lane per machine
 //	         and per swap server, with flow arrows linking each client
 //	         net.out hop to the server-side service slice it triggered
+//
+// Figs. 7–9 (and the suite's figure cells) run the warm+measure protocol:
+// the machine warms until its initialisation threads exit, then that same
+// world runs the measured window; nothing here forks a world. -timeline and
+// -simprofile run the legacy harness instead, whose recorder and
+// attribution cover the whole run.
 //
 // The -suite-json and -cluster-json exports use the same spec/result schema
 // as the nemesis-serve HTTP API (internal/experiments.Spec/Result): for a
@@ -132,7 +131,6 @@ func main() {
 	measure := flag.Duration("measure", 40*time.Second, "measured window of simulated time")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	metrics := flag.Bool("metrics", false, "enable fault-path telemetry and append span/metric summaries (figs 7/8)")
-	forked := flag.Bool("forked", true, "measure figs 7/8/9 on a fork of the warmed world (byte-identical to a cold boot; -forked=false boots cold)")
 	e8 := flag.String("e8", "", "netswap experiment: sweep, outage, degrade, or all")
 	timeline := flag.String("timeline", "", "write a Perfetto-loadable trace-event JSON timeline to this file (figs 7/8/9)")
 	timelineJSONL := flag.String("timeline-jsonl", "", "write the compact JSONL timeline dump to this file (convert with nemesis-timeline)")
@@ -156,7 +154,7 @@ func main() {
 	}
 
 	if *suite {
-		runSuite(*measure, *workers, *suiteJSON, *forked)
+		runSuite(*measure, *workers, *suiteJSON)
 		return
 	}
 	if *cluster {
@@ -201,35 +199,13 @@ func main() {
 		opt.Telemetry = *metrics || *simprofile != ""
 		opt.Timeline = *timeline != "" || *timelineJSONL != ""
 		// Timeline recording and the attribution profile need the legacy
-		// in-place harness. Everything else runs the warm+measure protocol
-		// sweeps and the server use: -forked measures on a fork of the
-		// warmed world, -forked=false lets the warmed world continue in
-		// place — the two are byte-identical, so the flag only changes how
-		// much boot work a repeat run would pay.
-		useProtocol := !opt.Timeline && *simprofile == ""
-		useForked := useProtocol && *forked
+		// in-place harness; everything else runs the warm+measure protocol
+		// the suite and the server use.
 		var r *experiments.PagingResult
 		var err error
-		var warmDur, forkDur time.Duration
-		switch {
-		case useForked:
-			warmStart := time.Now()
-			warm, werr := experiments.WarmPaging(opt)
-			if werr != nil {
-				fatalf("nemesis-paging: %v", werr)
-			}
-			warmDur = time.Since(warmStart)
-			forkStart := time.Now()
-			world, ferr := warm.Fork()
-			if ferr != nil {
-				fatalf("nemesis-paging: %v", ferr)
-			}
-			forkDur = time.Since(forkStart)
-			warm.Sys.Shutdown()
-			r, err = world.Measure(opt.Measure)
-		case useProtocol:
-			r, err = experiments.RunPagingForked(opt, false)
-		default:
+		if !opt.Timeline && *simprofile == "" {
+			r, err = experiments.RunWarmPaging(opt)
+		} else {
 			r, err = experiments.RunPaging(opt)
 		}
 		if err != nil {
@@ -259,10 +235,6 @@ func main() {
 			fmt.Printf("#   %s\t%.4f\n", e.k, e.v)
 		}
 		if *metrics {
-			if useForked {
-				fmt.Printf("\n# fork vs boot: warm boot %v (paid once per sweep axis), fork %v (paid per cell)\n",
-					warmDur.Round(time.Millisecond), forkDur.Round(time.Microsecond))
-			}
 			fmt.Println("\n# per-domain snapshot:")
 			if err := r.Sys.WriteTopTable(os.Stdout); err != nil {
 				fatal(err)
@@ -285,7 +257,7 @@ func main() {
 		var r *experiments.Fig9Result
 		var err error
 		if !opt.Timeline {
-			r, err = experiments.RunFig9Forked(opt, *forked)
+			r, err = experiments.RunFig9Forked(opt, false)
 		} else {
 			r, err = experiments.RunFig9(opt)
 		}
@@ -381,7 +353,7 @@ func runCluster(opt experiments.ClusterOptions, jsonPath, tracePath string) {
 // runSuite fans the whole experiment suite across sweep workers and prints
 // each cell's summary in fixed suite order, optionally exporting the
 // API-schema JSON result.
-func runSuite(measure time.Duration, workers int, jsonPath string, forked bool) {
+func runSuite(measure time.Duration, workers int, jsonPath string) {
 	if workers <= 0 {
 		workers = sweep.Workers()
 	}
@@ -390,26 +362,11 @@ func runSuite(measure time.Duration, workers int, jsonPath string, forked bool) 
 		Kind:    experiments.KindSuite,
 		Measure: experiments.Duration(measure),
 	}
-	var result *experiments.Result
-	if forked {
-		out, err := experiments.RunSpec(context.Background(), spec, workers)
-		if err != nil {
-			fatalf("nemesis-paging: %v", err)
-		}
-		result = out.Result
-	} else {
-		// The cold escape hatch runs the same warm+measure protocol without
-		// forking any world; its output — including the -suite-json bytes —
-		// must be identical to the forked run's.
-		if err := spec.Normalize(); err != nil {
-			fatalf("nemesis-paging: %v", err)
-		}
-		cells, err := experiments.RunSuiteForked(context.Background(), spec.Measure.D(), workers, false)
-		if err != nil {
-			fatalf("nemesis-paging: %v", err)
-		}
-		result = &experiments.Result{Spec: spec, Suite: cells}
+	out, err := experiments.RunSpec(context.Background(), spec, workers)
+	if err != nil {
+		fatalf("nemesis-paging: %v", err)
 	}
+	result := out.Result
 	cells := result.Suite
 	for _, c := range cells {
 		fmt.Printf("# %s\n%s", c.Name, c.Output)

@@ -1,11 +1,5 @@
 package atropos
 
-// SetExtra flips the client's slack-eligibility (x) flag in place. The flag
-// does not contribute to admission (Share ignores it), so no admission-control
-// re-check is needed. Forked ablation cells use it to reconfigure a warmed
-// world without re-admitting the client.
-func (c *Client) SetExtra(x bool) { c.qos.X = x }
-
 // Fork returns a deep copy of the core and an identity map from each parent
 // client to its forked twin. Everything that influences future decisions is
 // copied exactly: client accounting, admission sequence numbers, the

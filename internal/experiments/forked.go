@@ -1,44 +1,34 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"nemesis/internal/atropos"
-	"nemesis/internal/baseline"
 	"nemesis/internal/core"
-	"nemesis/internal/domain"
-	"nemesis/internal/experiments/sweep"
-	"nemesis/internal/mem"
-	"nemesis/internal/netswap"
 	"nemesis/internal/obs"
-	"nemesis/internal/stretchdrv"
 	"nemesis/internal/trace"
 	"nemesis/internal/usd"
-	"nemesis/internal/vm"
 	"nemesis/internal/workload"
 )
 
-// This file is the fork-exploiting experiment protocol. Every harness here
+// This file is the warm+measure experiment protocol. Each harness here
 // splits its legacy counterpart into two halves around a quiesced instant:
 //
 //	warm    — boot the machine and run the expensive initialisation
-//	          (demand-zero faults, swap population, admission of hundreds
-//	          of domains) in threads that EXIT when done;
+//	          (demand-zero faults, swap population) in threads that EXIT
+//	          when done;
 //	measure — attach the steady-state workload and run the measured window.
 //
-// The split is what makes core.System.Fork exploitable: a warmed world can
-// be checkpointed once and forked per sweep cell, per Table 1 row, per
-// cluster machine or per server request, so only the measure half is ever
-// re-paid. Crucially both modes of every harness — forked=false (cold: the
-// warmed world itself continues into measure) and forked=true (a fork of
-// it does) — run the *same* protocol, so their outputs must be identical
-// to the last byte; the equivalence tests pin exactly that.
+// Because the warmed world is quiesced, core.System.Fork can checkpoint it.
+// Only nemesis-serve's warm-world pool reuses one warm world for many
+// measurements, so only it forks (plus Fig. 9's forked mode, kept for the
+// serve path); every other caller measures the warmed world in place. The
+// equivalence tests pin in-place and forked measurement byte-identical.
 //
-// The legacy entry points (RunPaging, RunFig9, Table1, RunCluster) are
-// untouched: the figure goldens and the benchmark baselines pin their
-// event-for-event behaviour.
+// The legacy entry points (RunPaging, RunFig9) stay: timelines, attribution
+// profiles and the ablations use them, and the Fig. 7 golden and the gated
+// benchmarks pin their event stream, which differs from warm+measure's.
 
 // PagingWarm is a warmed Fig. 7/8-style world: applications admitted and
 // initialised by threads that have exited, leaving the world quiesced and
@@ -164,29 +154,23 @@ func (w *PagingWarm) Measure(measure time.Duration) (*PagingResult, error) {
 	return res, nil
 }
 
-// RunPagingForked is RunPaging under the warm+measure protocol. With
-// forked=true the measured window runs on a fork of the warmed world; with
-// forked=false the warmed world itself continues into the window. The two
-// must produce identical results.
-func RunPagingForked(opt PagingOptions, forked bool) (*PagingResult, error) {
+// RunWarmPaging is RunPaging under the warm+measure protocol: the warmed
+// world itself continues into the measured window.
+func RunWarmPaging(opt PagingOptions) (*PagingResult, error) {
 	warm, err := WarmPaging(opt)
 	if err != nil {
 		return nil, err
 	}
-	world := warm
-	if forked {
-		if world, err = warm.Fork(); err != nil {
-			return nil, err
-		}
-		warm.Sys.Shutdown()
-	}
-	return world.Measure(opt.Measure)
+	return warm.Measure(opt.Measure)
 }
 
 // RunFig9Forked is RunFig9 under the warm+measure protocol: the competing
 // pagers initialise before the window, the world forks (when forked), and
 // the file-system client is created in the measure world — drivers that
-// appear after the fork need no snapshot support at all.
+// appear after the fork need no snapshot support at all. The CLI and the
+// suite measure in place (forked=false); nemesis-serve forks, and its
+// benchmark accounting subtracts each fork's inherited warm work, so both
+// modes stay.
 func RunFig9Forked(opt Fig9Options, forked bool) (*Fig9Result, error) {
 	if opt.Timeline {
 		return nil, fmt.Errorf("experiments: timeline is not supported by the warm+measure protocol")
@@ -279,499 +263,4 @@ func RunFig9Forked(opt Fig9Options, forked bool) (*Fig9Result, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// table1World is one warmed Table 1 world: the bench domain admitted, both
-// stretches premapped, premap thread exited.
-type table1World struct {
-	sys     *core.System
-	dom     *domain.Domain
-	st, st1 *vm.Stretch
-}
-
-// table1Rows names the six micro-benchmarks, in the paper's order.
-func table1Rows() []string {
-	return []string{"dirty", "(un)prot1", "(un)prot100", "trap", "appel1", "appel2"}
-}
-
-const table1Pages = 100
-const table1Iters = 256
-
-// warmTable1 boots the Table 1 machine and premaps both stretches. Unlike
-// the legacy harness — which runs all six benchmarks sequentially in one
-// thread sharing one random stream — the warmed world stops here, so each
-// row can run on its own fork from an identical starting state.
-func warmTable1() (*table1World, error) {
-	cfg := core.DefaultConfig()
-	cfg.MemoryFrames = 256
-	sys := core.New(cfg)
-	dom, err := sys.NewDomain("bench", atropos.QoS{P: 100 * time.Millisecond, S: 90 * time.Millisecond, X: true}, mem.Contract{Guaranteed: table1Pages + 8})
-	if err != nil {
-		return nil, err
-	}
-	st, _, err := sys.NewPhysicalStretch(dom, table1Pages*vm.PageSize)
-	if err != nil {
-		return nil, err
-	}
-	st1, _, err := sys.NewPhysicalStretch(dom, vm.PageSize)
-	if err != nil {
-		return nil, err
-	}
-	warmed := false
-	dom.Go("premap", func(t *domain.Thread) {
-		if err := core.PreallocateFrames(t, table1Pages+1); err != nil {
-			return
-		}
-		if err := t.Touch(st.Base(), table1Pages*vm.PageSize, vm.AccessWrite); err != nil {
-			return
-		}
-		if err := t.Touch(st1.Base(), vm.PageSize, vm.AccessWrite); err != nil {
-			return
-		}
-		warmed = true
-	})
-	deadline := sys.Sim.Now().Add(5 * time.Minute)
-	for !warmed {
-		if sys.Sim.Now() >= deadline {
-			return nil, fmt.Errorf("experiments: table1 premap stalled")
-		}
-		sys.Run(time.Second)
-	}
-	return &table1World{sys: sys, dom: dom, st: st, st1: st1}, nil
-}
-
-func (w *table1World) fork() (*table1World, error) {
-	snap, err := w.sys.Fork()
-	if err != nil {
-		return nil, err
-	}
-	nw := &table1World{sys: snap.Sys, dom: snap.Dom[w.dom], st: snap.Stretch[w.st], st1: snap.Stretch[w.st1]}
-	if nw.dom == nil || nw.st == nil || nw.st1 == nil {
-		return nil, fmt.Errorf("experiments: table1 snapshot maps incomplete")
-	}
-	return nw, nil
-}
-
-// runTable1Row runs one benchmark on a warmed world, consuming it. Each
-// row is self-contained — it installs its own handlers and protections —
-// which is what lets the rows run on independent forks in parallel.
-func runTable1Row(w *table1World, name string) (Table1Row, error) {
-	sys, dom, st, st1 := w.sys, w.dom, w.st, w.st1
-	const pages = table1Pages
-	const iters = table1Iters
-	costs := sys.Config.Costs
-	osf1 := baseline.DefaultOSF1Costs()
-	ts := sys.TS
-	var row Table1Row
-	finished := false
-
-	dom.Go("bench", func(t *domain.Thread) {
-		rng := sys.Sim.Rand()
-		perOp := func(fn func()) float64 {
-			t0 := t.Now()
-			for i := 0; i < iters; i++ {
-				fn()
-			}
-			return t.Now().Sub(t0).Seconds() * 1e6 / iters
-		}
-
-		switch name {
-		case "dirty":
-			us := perOp(func() {
-				va := st.PageBase(rng.Intn(pages))
-				ts.IsDirty(va)
-				t.Compute(costs.PTLookup)
-			})
-			row = Table1Row{Name: "dirty", NemesisUS: us, PaperNemesisUS: 0.15}
-
-		case "(un)prot1":
-			val := vm.Rights(vm.Read)
-			us := perOp(func() {
-				val ^= vm.Write
-				n, _ := ts.ProtectPages(dom.PD(), st1, val)
-				t.Compute(costs.SyscallOverhead + time.Duration(n)*costs.PTEUpdate)
-			})
-			val = vm.Read
-			pd := perOp(func() {
-				val ^= vm.Write
-				changed, _ := ts.SetRights(dom.PD(), dom.PD(), st1.ID(), val|vm.Meta)
-				if changed {
-					t.Compute(costs.SyscallOverhead + costs.PDChange)
-				} else {
-					t.Compute(costs.IdempotentProt)
-				}
-			})
-			row = Table1Row{
-				Name: "(un)prot1", NemesisUS: us, AltUS: pd,
-				OSF1US:         osf1.Prot(1).Seconds() * 1e6,
-				PaperNemesisUS: 0.42, PaperAltUS: 0.40, PaperOSF1US: 3.36,
-			}
-
-		case "(un)prot100":
-			val := vm.Rights(vm.Read)
-			us := perOp(func() {
-				val ^= vm.Write
-				n, _ := ts.ProtectPages(dom.PD(), st, val)
-				t.Compute(costs.SyscallOverhead + time.Duration(n)*costs.PTEUpdate)
-			})
-			val = vm.Read
-			pd := perOp(func() {
-				val ^= vm.Write
-				changed, _ := ts.SetRights(dom.PD(), dom.PD(), st.ID(), val|vm.Meta)
-				if changed {
-					t.Compute(costs.SyscallOverhead + costs.PDChange)
-				} else {
-					t.Compute(costs.IdempotentProt)
-				}
-			})
-			row = Table1Row{
-				Name: "(un)prot100", NemesisUS: us, AltUS: pd,
-				OSF1US:         osf1.Prot(100).Seconds() * 1e6,
-				PaperNemesisUS: 10.78, PaperAltUS: 0.30, PaperOSF1US: 5.14,
-			}
-
-		case "trap":
-			ts.GrantInitial(dom.PD(), st.ID(), vm.Read|vm.Write|vm.Execute|vm.Meta)
-			dom.SetFaultHandler(vm.ProtectionFault, func(th *domain.Thread, f *vm.Fault) bool {
-				ts.GrantInitial(dom.PD(), f.SID, vm.Read|vm.Write|vm.Execute|vm.Meta)
-				return true
-			})
-			us := perOp(func() {
-				ts.GrantInitial(dom.PD(), st.ID(), vm.Read|vm.Meta) // uncharged re-arm
-				t.Touch(st.PageBase(rng.Intn(pages)), 1, vm.AccessWrite)
-			})
-			dom.SetFaultHandler(vm.ProtectionFault, nil)
-			row = Table1Row{
-				Name: "trap", NemesisUS: us,
-				OSF1US:         osf1.Trap().Seconds() * 1e6,
-				PaperNemesisUS: 4.20, PaperOSF1US: 10.33,
-			}
-
-		case "appel1":
-			for i := 0; i < pages; i++ {
-				ts.PageTable().Lookup(vm.PageOf(st.PageBase(i))).Prot = vm.Read
-			}
-			ts.GrantInitial(dom.PD(), st.ID(), vm.Read|vm.Meta) // PD grants read only
-			prev := 0
-			dom.SetFaultHandler(vm.ProtectionFault, func(th *domain.Thread, f *vm.Fault) bool {
-				pte := ts.PageTable().Lookup(vm.PageOf(f.VA))
-				pte.Prot = vm.Read | vm.Write
-				th.Compute(costs.SyscallOverhead + costs.PTEUpdate)
-				ts.PageTable().Lookup(vm.PageOf(st.PageBase(prev))).Prot = vm.Read
-				th.Compute(costs.SyscallOverhead + costs.PTEUpdate)
-				prev = int(vm.PageOf(f.VA) - vm.PageOf(st.Base()))
-				return true
-			})
-			us := perOp(func() {
-				t.Touch(st.PageBase(rng.Intn(pages)), 1, vm.AccessWrite)
-			})
-			dom.SetFaultHandler(vm.ProtectionFault, nil)
-			row = Table1Row{
-				Name: "appel1", NemesisUS: us,
-				OSF1US:         osf1.Appel1().Seconds() * 1e6,
-				PaperNemesisUS: 5.33, PaperOSF1US: 24.08,
-			}
-
-		case "appel2":
-			frames := make(map[vm.VPN]mem.PFN, pages)
-			dom.SetFaultHandler(vm.PageFault, func(th *domain.Thread, f *vm.Fault) bool {
-				vpn := vm.PageOf(f.VA)
-				if err := ts.Map(dom.PD(), dom.ID(), vpn.Base(), frames[vpn], vm.DefaultAttr()); err != nil {
-					return false
-				}
-				th.Compute(costs.SyscallOverhead + costs.MapUnmap)
-				return true
-			})
-			order := rng.Perm(pages)
-			t0 := t.Now()
-			for i := 0; i < pages; i++ {
-				va := st.PageBase(i)
-				pfn, _, err := ts.Unmap(dom.PD(), dom.ID(), va)
-				if err != nil {
-					return
-				}
-				frames[vm.PageOf(va)] = pfn
-				t.Compute(costs.SyscallOverhead + costs.MapUnmap)
-			}
-			for _, pg := range order {
-				if err := t.Touch(st.PageBase(pg), 1, vm.AccessWrite); err != nil {
-					return
-				}
-			}
-			us := t.Now().Sub(t0).Seconds() * 1e6 / pages
-			dom.SetFaultHandler(vm.PageFault, nil)
-			row = Table1Row{
-				Name: "appel2", NemesisUS: us,
-				OSF1US:         osf1.Appel2().Seconds() * 1e6,
-				PaperNemesisUS: 9.75, PaperOSF1US: 19.12,
-			}
-
-		default:
-			return
-		}
-		finished = true
-	})
-
-	sys.Run(5 * time.Minute)
-	if !finished {
-		return Table1Row{}, fmt.Errorf("experiments: table1 row %q did not finish (sim %v)", name, sys.Sim.Now())
-	}
-	sys.Shutdown()
-	return row, nil
-}
-
-// Table1Forked runs Table 1 under the warm+measure protocol: one premapped
-// world per row, each row self-contained. With forked=true a single warm
-// world is built and forked per row (the rows then fan out over workers);
-// with forked=false each row cold-boots its own world. Note the rows start
-// from identical machine state here, unlike the legacy Table1 where later
-// rows inherit the earlier rows' random-stream position — so the two
-// protocols agree with each other but differ from Table1 in the trailing
-// digits.
-func Table1Forked(workers int, forked bool) ([]Table1Row, error) {
-	names := table1Rows()
-	if forked {
-		parent, err := warmTable1()
-		if err != nil {
-			return nil, err
-		}
-		rows, err := sweep.MapForked(sweepWorkers(workers), names,
-			func(string) (*table1World, error) { return parent.fork() },
-			runTable1Row)
-		parent.sys.Shutdown()
-		return rows, err
-	}
-	return sweep.MapWorkers(sweepWorkers(workers), names, func(name string) (Table1Row, error) {
-		w, err := warmTable1()
-		if err != nil {
-			return Table1Row{}, err
-		}
-		return runTable1Row(w, name)
-	})
-}
-
-// clusterWarm is a warmed cluster machine: every domain admitted and its
-// stretch allocated, but no remote placements, threads or monitor yet —
-// all of that is created after the fork, in the measure world. The warm
-// prefix draws nothing from the random stream, which is what makes the
-// per-machine Reseed after forking exact.
-type clusterWarm struct {
-	sys  *core.System
-	doms []*domain.Domain
-	sts  []*vm.Stretch
-}
-
-// warmClusterMachine admits the machine's domain population. The warm
-// world is seeded with the base seed and machine-agnostic domain names;
-// runWarmedClusterMachine reseeds per machine.
-func warmClusterMachine(opt ClusterOptions) (*clusterWarm, error) {
-	n := opt.DomainsPerMachine
-	stretchBytes := int64(opt.PagesPerDomain) * int64(vm.PageSize)
-
-	cfg := core.DefaultConfig()
-	cfg.Seed = opt.Seed
-	cfg.Telemetry = true
-	cfg.MemoryFrames = n*opt.PhysFrames + 256
-	sys := core.New(cfg)
-
-	cpuQoS := atropos.QoS{
-		P: 100 * time.Millisecond,
-		S: 90 * time.Millisecond / time.Duration(n),
-		X: true,
-	}
-	if cpuQoS.S <= 0 {
-		cpuQoS.S = time.Microsecond
-	}
-
-	w := &clusterWarm{sys: sys}
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("d%d", i)
-		dom, err := sys.NewDomain(name, cpuQoS, mem.Contract{Guaranteed: uint64(opt.PhysFrames)})
-		if err != nil {
-			return nil, fmt.Errorf("cluster: admit %s: %w", name, err)
-		}
-		st, err := dom.NewStretch(uint64(stretchBytes))
-		if err != nil {
-			return nil, err
-		}
-		w.doms = append(w.doms, dom)
-		w.sts = append(w.sts, st)
-	}
-	return w, nil
-}
-
-func (w *clusterWarm) fork() (*clusterWarm, error) {
-	snap, err := w.sys.Fork()
-	if err != nil {
-		return nil, err
-	}
-	nw := &clusterWarm{sys: snap.Sys}
-	for i, d := range w.doms {
-		nd, nst := snap.Dom[d], snap.Stretch[w.sts[i]]
-		if nd == nil || nst == nil {
-			return nil, fmt.Errorf("cluster: snapshot maps incomplete for domain %d", i)
-		}
-		nw.doms = append(nw.doms, nd)
-		nw.sts = append(nw.sts, nst)
-	}
-	return nw, nil
-}
-
-// runWarmedClusterMachine turns a warmed (possibly just-forked) machine
-// into machine `machine`: reseed, build the swap-server pool, place every
-// domain on it, attach the hot/idle threads and the incremental monitor,
-// run the measured window and collect the summary.
-func runWarmedClusterMachine(w *clusterWarm, machine int, opt ClusterOptions) (*ClusterMachine, error) {
-	sys := w.sys
-	sys.Sim.Reseed(opt.Seed + int64(machine))
-
-	n := opt.DomainsPerMachine
-	pageBytes := int64(vm.PageSize)
-	stretchBytes := int64(opt.PagesPerDomain) * pageBytes
-
-	ns := netswap.DefaultConfig()
-	ns.Server.StoreBytes = (int64(n)*stretchBytes)/int64(opt.Servers) + 2*stretchBytes
-	pool, err := netswap.NewPool(sys.Sim, sys.Obs, opt.Servers, ns)
-	if err != nil {
-		return nil, err
-	}
-	if opt.Trace {
-		sys.Obs.SetFlowBase(uint64(machine+1) << 32)
-		for i := 0; i < pool.Servers(); i++ {
-			pool.Fabric(i).Server.SetObs(obs.NewRegistry(sys.Sim.Now))
-		}
-	}
-
-	hot := int(float64(n) * opt.HotFraction)
-	if hot < 1 {
-		hot = 1
-	}
-	remote := &netswap.RemoteOptions{Timeout: 2 * time.Second, MaxRetries: -1}
-
-	cell := &ClusterMachine{Machine: machine, Domains: n, HotDomains: hot}
-	var bytesTouched int64
-	for i, dom := range w.doms {
-		name := fmt.Sprintf("d%d", i)
-		st := w.sts[i]
-		rb, err := pool.Place(name, name, stretchBytes, remote)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: place %s: %w", name, err)
-		}
-		if _, err := stretchdrv.NewPagedBacking(dom, st, rb, stretchdrv.PagerOptions{}); err != nil {
-			return nil, err
-		}
-
-		base := st.Base()
-		physFrames := opt.PhysFrames
-		if i < hot {
-			pages := opt.PagesPerDomain
-			period := opt.HotPeriod
-			dom.Go("hot", func(t *domain.Thread) {
-				if err := core.PreallocateFrames(t, physFrames); err != nil {
-					return
-				}
-				for off := 0; ; off = (off + 1) % pages {
-					if err := t.Touch(base+vm.VA(int64(off)*pageBytes), int(pageBytes), vm.AccessWrite); err != nil {
-						return
-					}
-					bytesTouched += pageBytes
-					t.Sleep(period)
-				}
-			})
-			continue
-		}
-		once := physFrames + 1
-		dom.Go("idle", func(t *domain.Thread) {
-			if err := core.PreallocateFrames(t, physFrames); err != nil {
-				return
-			}
-			for p := 0; p < once; p++ {
-				if err := t.Touch(base+vm.VA(int64(p)*pageBytes), int(pageBytes), vm.AccessWrite); err != nil {
-					return
-				}
-				bytesTouched += pageBytes
-			}
-		})
-	}
-
-	mon := sys.StartIncrementalCrosstalkMonitor(obs.DefaultCrosstalkConfig())
-	sys.Run(opt.Measure)
-	pool.Stop()
-	sys.Shutdown()
-
-	for _, d := range w.doms {
-		cell.Faults += d.Stats().Faults
-	}
-	cell.BytesTouched = bytesTouched
-	cell.Events = sys.Sim.Dispatched()
-	for i := 0; i < pool.Servers(); i++ {
-		st := pool.Fabric(i).Server.Stats
-		cell.RemoteReads += st.Reads
-		cell.RemoteWrites += st.Writes
-	}
-	cell.Violations = len(sys.Obs.AuditByKind(obs.AuditGuaranteeViolation))
-	cell.Kills = len(sys.Obs.AuditByKind(obs.AuditRevokeKill))
-	cell.Flags = len(sys.Obs.Flags())
-	if mon != nil {
-		cell.MonitorTicks = mon.Ticks()
-	}
-	collectClusterObs(cell, machine, sys.Obs, pool, opt.Trace)
-	return cell, nil
-}
-
-// RunClusterForked is the cluster scenario under the warm+measure
-// protocol. The expensive warm prefix — admitting hundreds of domains and
-// their stretches — is machine-independent, so with forked=true it is paid
-// once and forked per machine; each fork is then reseeded with the
-// machine's own seed (exact because the prefix is draw-free) before the
-// machine-specific pool, placements and workload are built on top. With
-// forked=false every machine cold-boots the same prefix itself, so the two
-// modes are byte-identical by construction.
-func RunClusterForked(opt ClusterOptions, forked bool) (*ClusterResult, error) {
-	opt.fillDefaults()
-	machines := make([]int, opt.Machines)
-	for i := range machines {
-		machines[i] = i
-	}
-	var cells []*ClusterMachine
-	var err error
-	if forked {
-		var parent *clusterWarm
-		if parent, err = warmClusterMachine(opt); err != nil {
-			return nil, err
-		}
-		cells, err = sweep.MapForked(sweepWorkers(opt.Workers), machines,
-			func(int) (*clusterWarm, error) { return parent.fork() },
-			func(w *clusterWarm, m int) (*ClusterMachine, error) { return runWarmedClusterMachine(w, m, opt) })
-		parent.sys.Shutdown()
-	} else {
-		cells, err = sweep.MapWorkers(sweepWorkers(opt.Workers), machines, func(m int) (*ClusterMachine, error) {
-			w, werr := warmClusterMachine(opt)
-			if werr != nil {
-				return nil, werr
-			}
-			return runWarmedClusterMachine(w, m, opt)
-		})
-	}
-	if err != nil {
-		return nil, err
-	}
-	return assembleCluster(opt, cells), nil
-}
-
-// RunSuiteForked runs the full suite under the warm+measure protocol: the
-// four world-reusing cells (Table 1, Figs. 7–9) run their forked-protocol
-// variants, every other cell is identical to RunSuite. forked selects
-// whether those cells measure on forks of warmed worlds or on cold boots
-// of the same protocol; the outputs must be byte-identical either way, at
-// any worker count — the CI fork-equivalence job diffs exactly that.
-func RunSuiteForked(ctx context.Context, measure time.Duration, workers int, forked bool) ([]SuiteCell, error) {
-	if workers <= 0 {
-		workers = sweep.Workers()
-	}
-	mode := suiteCold
-	if forked {
-		mode = suiteForked
-	}
-	return runSuiteCells(ctx, workers, suiteCellList(measure, mode))
 }

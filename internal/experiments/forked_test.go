@@ -1,16 +1,15 @@
 package experiments
 
 import (
-	"context"
 	"reflect"
 	"testing"
 	"time"
 )
 
-// TestPagingForkEquivalence pins the tentpole guarantee for the Fig. 7/8
-// harness: measuring on a fork of a warmed world is byte-identical to
-// measuring on the warmed world itself — means, measure window and the
-// full USD scheduler trace.
+// TestPagingForkEquivalence pins the Fig. 7/8 warm+measure protocol:
+// measuring the warmed world in place (the CLI, the suite and unpooled
+// figure specs) is byte-identical to measuring a fork of it (nemesis-serve's
+// warm pool) — means, measure window and the full USD scheduler trace.
 func TestPagingForkEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -23,23 +22,40 @@ func TestPagingForkEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := DefaultPagingOptions()
 			opt.Measure = 2 * time.Second
+			// Sample well inside the window so the means are real readings,
+			// not the 0 of an empty series.
+			opt.SampleEvery = 500 * time.Millisecond
 			tc.mut(&opt)
-			cold, err := RunPagingForked(opt, false)
+			inPlace, err := RunWarmPaging(opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			forked, err := RunPagingForked(opt, true)
+			warm, err := WarmPaging(opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(cold.MeanMbps, forked.MeanMbps) {
-				t.Errorf("MeanMbps: cold %v, forked %v", cold.MeanMbps, forked.MeanMbps)
+			world, err := warm.Fork()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if cold.MeasureStart != forked.MeasureStart {
-				t.Errorf("MeasureStart: cold %v, forked %v", cold.MeasureStart, forked.MeasureStart)
+			warm.Sys.Shutdown()
+			forked, err := world.Measure(opt.Measure)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(cold.Log.Events(), forked.Log.Events()) {
-				t.Errorf("USD trace differs between cold and forked runs")
+			for i, m := range inPlace.MeanMbps {
+				if m <= 0 {
+					t.Errorf("MeanMbps[%d] = %v, want a positive reading", i, m)
+				}
+			}
+			if !reflect.DeepEqual(inPlace.MeanMbps, forked.MeanMbps) {
+				t.Errorf("MeanMbps: in place %v, forked %v", inPlace.MeanMbps, forked.MeanMbps)
+			}
+			if inPlace.MeasureStart != forked.MeasureStart {
+				t.Errorf("MeasureStart: in place %v, forked %v", inPlace.MeasureStart, forked.MeasureStart)
+			}
+			if !reflect.DeepEqual(inPlace.Log.Events(), forked.Log.Events()) {
+				t.Errorf("USD trace differs between in-place and forked runs")
 			}
 		})
 	}
@@ -47,11 +63,13 @@ func TestPagingForkEquivalence(t *testing.T) {
 
 // TestFig9ForkEquivalence: the FS client is created after the fork, in the
 // measure world — its throughput and the pagers' must not depend on
-// whether the pagers' warm world was forked.
+// whether the pagers' warm world was forked. This pins the CLI and suite
+// Fig. 9 (in place) to nemesis-serve's (forked).
 func TestFig9ForkEquivalence(t *testing.T) {
 	opt := DefaultFig9Options()
 	opt.Measure = 2 * time.Second
-	cold, err := RunFig9Forked(opt, false)
+	opt.SampleEvery = 500 * time.Millisecond
+	inPlace, err := RunFig9Forked(opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,112 +77,19 @@ func TestFig9ForkEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.AloneMbps != forked.AloneMbps || cold.ContendedMbps != forked.ContendedMbps {
-		t.Errorf("means: cold (%v, %v), forked (%v, %v)",
-			cold.AloneMbps, cold.ContendedMbps, forked.AloneMbps, forked.ContendedMbps)
+	if inPlace.AloneMbps <= 0 || inPlace.ContendedMbps <= 0 {
+		t.Errorf("fs means (%v, %v), want positive readings", inPlace.AloneMbps, inPlace.ContendedMbps)
 	}
-	if !reflect.DeepEqual(cold.PagerMbps, forked.PagerMbps) {
-		t.Errorf("PagerMbps: cold %v, forked %v", cold.PagerMbps, forked.PagerMbps)
-	}
-}
-
-// TestTable1ForkEquivalence: every row measured on a fork of the shared
-// premapped world must equal the row measured on its own cold boot, at any
-// worker count.
-func TestTable1ForkEquivalence(t *testing.T) {
-	cold, err := Table1Forked(1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forked, err := Table1Forked(1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cold, forked) {
-		t.Errorf("rows differ:\ncold   %+v\nforked %+v", cold, forked)
-	}
-	wide, err := Table1Forked(8, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cold, wide) {
-		t.Errorf("rows differ at workers=8:\ncold %+v\nwide %+v", cold, wide)
-	}
-}
-
-// TestClusterForkEquivalence: one warm admission prefix forked and
-// reseeded per machine must reproduce each machine's cold boot exactly —
-// events, faults, remote traffic, audit counts and monitor ticks.
-func TestClusterForkEquivalence(t *testing.T) {
-	opt := ClusterOptions{
-		Machines:          2,
-		DomainsPerMachine: 12,
-		Servers:           2,
-		Measure:           time.Second,
-		Seed:              7,
-	}
-	cold, err := RunClusterForked(opt, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forked, err := RunClusterForked(opt, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cold.Machines, forked.Machines) {
-		t.Errorf("machines differ:\ncold   %+v\nforked %+v", cold.Machines, forked.Machines)
-	}
-	if cold.Machines[0].Faults == 0 || cold.Machines[0].RemoteWrites == 0 {
-		t.Errorf("cluster cell implausibly idle: %+v", cold.Machines[0])
-	}
-	// Distinct seeds must actually reach the forked machines: two cells
-	// with different seeds should not be identical in every field.
-	if reflect.DeepEqual(forked.Machines[0].Events, forked.Machines[1].Events) &&
-		reflect.DeepEqual(forked.Machines[0].Faults, forked.Machines[1].Faults) &&
-		forked.Machines[0].BytesTouched == forked.Machines[1].BytesTouched {
-		t.Logf("warning: machine cells identical — per-machine reseed may not be reaching the workload")
-	}
-}
-
-// TestSuiteForkedEquivalence runs the four world-reusing suite cells cold
-// and forked (the other cells are the same code path in both modes and are
-// covered by the full-suite CI job): outputs must match byte for byte, and
-// the forked suite must also be stable under a worker fan-out.
-func TestSuiteForkedEquivalence(t *testing.T) {
-	const measure = time.Second
-	pick := func(cells []SuiteCell) map[string]string {
-		out := make(map[string]string)
-		for _, c := range cells {
-			switch c.Name {
-			case "table1", "fig7 paging-in", "fig8 paging-out", "fig9 fs-isolation":
-				out[c.Name] = c.Output
-			}
+	for i, m := range inPlace.PagerMbps {
+		if m <= 0 {
+			t.Errorf("PagerMbps[%d] = %v, want a positive reading", i, m)
 		}
-		return out
 	}
-	ctx := context.Background()
-	cold, err := RunSuiteForked(ctx, measure, 4, false)
-	if err != nil {
-		t.Fatal(err)
+	if inPlace.AloneMbps != forked.AloneMbps || inPlace.ContendedMbps != forked.ContendedMbps {
+		t.Errorf("means: in place (%v, %v), forked (%v, %v)",
+			inPlace.AloneMbps, inPlace.ContendedMbps, forked.AloneMbps, forked.ContendedMbps)
 	}
-	forked, err := RunSuiteForked(ctx, measure, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := RunSuiteForked(ctx, measure, 1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldM, forkedM, serialM := pick(cold), pick(forked), pick(serial)
-	if len(coldM) != 4 {
-		t.Fatalf("expected 4 forkable cells, got %d", len(coldM))
-	}
-	for name, want := range coldM {
-		if got := forkedM[name]; got != want {
-			t.Errorf("%s: cold vs forked differ:\ncold:   %sforked: %s", name, want, got)
-		}
-		if got := serialM[name]; got != want {
-			t.Errorf("%s: parallel vs serial forked differ:\ncold:   %sserial: %s", name, want, got)
-		}
+	if !reflect.DeepEqual(inPlace.PagerMbps, forked.PagerMbps) {
+		t.Errorf("PagerMbps: in place %v, forked %v", inPlace.PagerMbps, forked.PagerMbps)
 	}
 }

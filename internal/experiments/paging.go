@@ -225,20 +225,6 @@ func RunPaging(opt PagingOptions) (*PagingResult, error) {
 	return res, nil
 }
 
-// Fig7 runs the paging-in experiment with the paper's parameters.
-func Fig7() (*PagingResult, error) {
-	return RunPaging(DefaultPagingOptions())
-}
-
-// Fig8 runs the paging-out experiment: the modified ("forgetful") stretch
-// driver never pages in, and the main loop writes every byte.
-func Fig8() (*PagingResult, error) {
-	opt := DefaultPagingOptions()
-	opt.Write = true
-	opt.Forgetful = true
-	return RunPaging(opt)
-}
-
 // Fig9Options parameterises the file-system isolation experiment.
 type Fig9Options struct {
 	// FSQoS is the file-system client's contract (paper: 125/250 ms).
@@ -293,12 +279,6 @@ func (r *Fig9Result) Isolation() float64 {
 		return 0
 	}
 	return r.ContendedMbps / r.AloneMbps
-}
-
-// Fig9 runs the file-system isolation experiment: the FS client alone,
-// then again alongside two paging applications.
-func Fig9() (*Fig9Result, error) {
-	return RunFig9(DefaultFig9Options())
 }
 
 // RunFig9 executes the experiment with explicit options.

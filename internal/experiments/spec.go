@@ -101,7 +101,12 @@ type Spec struct {
 // cleared. Two specs describing the same experiment — default-vs-explicit
 // values, any duration spelling, any field order on the wire — normalize to
 // identical structs, which is what makes results content-addressable.
+// A zero or omitted duration means the kind's default; a negative one is
+// an error naming the field, never silently defaulted.
 func (s *Spec) Normalize() error {
+	if s.Measure < 0 {
+		return fmt.Errorf("experiments: spec field \"measure\" is %v, want a positive duration (omit it for the default)", s.Measure.D())
+	}
 	c := Spec{Kind: s.Kind}
 	switch s.Kind {
 	case KindSuite:
@@ -140,7 +145,7 @@ func (s *Spec) Normalize() error {
 		}
 		for _, l := range c.Latencies {
 			if l <= 0 {
-				return fmt.Errorf("experiments: netswap latency %v must be positive", l.D())
+				return fmt.Errorf("experiments: spec field \"latencies\" has %v, want positive durations", l.D())
 			}
 		}
 		c.Losses = append([]float64(nil), s.Losses...)
@@ -277,12 +282,7 @@ func RunSpec(ctx context.Context, spec Spec, workers int) (*Outcome, error) {
 	out := &Outcome{Result: res}
 	switch spec.Kind {
 	case KindSuite:
-		// The suite runs under the warm+measure protocol with world
-		// forking: each heavy harness warms once and every cell measures on
-		// a fork, which the fork-equivalence tests pin byte-identical to
-		// cold boots. The legacy in-place suite remains available as
-		// RunSuite for the trace-shaped comparisons that need it.
-		cells, err := RunSuiteForked(ctx, spec.Measure.D(), workers, true)
+		cells, err := RunSuite(ctx, spec.Measure.D(), workers)
 		if err != nil {
 			return nil, err
 		}
@@ -381,8 +381,8 @@ func WarmPagingSpec(spec Spec) (*PagingWarm, error) {
 	return WarmPaging(PagingOptionsFromSpec(spec))
 }
 
-// FigureFromWarm measures a warmed Fig. 7/8 world (typically a fresh fork
-// of a pooled one, which it consumes) and assembles the same Result a
+// FigureFromWarm measures a warmed Fig. 7/8 world (freshly warmed, or a
+// fresh fork of a pooled one), consuming it, and assembles the same Result a
 // figure-kind RunSpec produces — so pooled and unpooled answers for one
 // spec are byte-identical.
 func FigureFromWarm(world *PagingWarm, spec Spec) (*Result, error) {
@@ -400,9 +400,10 @@ func FigureFromWarm(world *PagingWarm, spec Spec) (*Result, error) {
 
 // runFigureSpec executes one figure cell, capturing trace/audit artifacts
 // when the spec asks for them. Untraced figure runs use the warm+measure
-// protocol (measuring on a fork of a warmed world — the same composition
-// nemesis-serve's warm pool performs); traced runs keep the legacy
-// in-place harness, which the recorder requires.
+// protocol: Figs. 7/8 measure the warmed world in place, byte-identical to
+// the fork of it nemesis-serve's warm pool measures; Fig. 9 measures on a
+// fork. Traced runs keep the legacy in-place harness, which the recorder
+// requires.
 func runFigureSpec(spec Spec, out *Outcome) error {
 	sum := &FigureSummary{Fig: spec.Figure}
 	switch spec.Figure {
@@ -412,12 +413,7 @@ func runFigureSpec(spec Spec, out *Outcome) error {
 			if err != nil {
 				return err
 			}
-			world, err := warm.Fork()
-			if err != nil {
-				return err
-			}
-			warm.Sys.Shutdown()
-			res, err := FigureFromWarm(world, spec)
+			res, err := FigureFromWarm(warm, spec)
 			if err != nil {
 				return err
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 )
@@ -89,6 +90,24 @@ func TestNormalizeRejectsInvalidSpecs(t *testing.T) {
 	for _, s := range bad {
 		if err := s.Normalize(); err == nil {
 			t.Errorf("spec %+v normalized without error", s)
+		}
+	}
+}
+
+// TestNormalizeNamesNegativeDuration: a negative duration is an error
+// naming its field, never silently replaced by the kind's default.
+func TestNormalizeNamesNegativeDuration(t *testing.T) {
+	for _, tc := range []struct {
+		spec  Spec
+		field string
+	}{
+		{Spec{Kind: KindFigure, Figure: 7, Measure: Duration(-5 * time.Second)}, `"measure"`},
+		{Spec{Kind: KindCluster, Measure: Duration(-time.Nanosecond)}, `"measure"`},
+		{Spec{Kind: KindNetswap, Latencies: []Duration{Duration(-time.Millisecond)}}, `"latencies"`},
+	} {
+		err := tc.spec.Normalize()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("spec %+v: error %v, want one naming %s", tc.spec, err, tc.field)
 		}
 	}
 }

@@ -24,46 +24,16 @@ type SuiteCell struct {
 // when workers <= 0). Results come back in suite order regardless of the
 // fan-out, so serial and parallel runs produce byte-identical output.
 // measure bounds each cell's simulated measurement window; cells that need
-// less clamp it themselves.
-func RunSuite(measure time.Duration, workers int) ([]SuiteCell, error) {
-	return RunSuiteContext(context.Background(), measure, workers)
-}
-
-// RunSuiteContext is RunSuite under a context: workers observe ctx between
-// cells (a cancelled suite stops scheduling cells and returns ctx.Err()),
-// and a sweep.WithProgress callback on ctx receives per-cell completion
-// events. In-flight cells run to completion; a single cell is not
-// interruptible mid-simulation.
-func RunSuiteContext(ctx context.Context, measure time.Duration, workers int) ([]SuiteCell, error) {
+// less clamp it themselves. Workers observe ctx between cells (a cancelled
+// suite stops scheduling cells and returns ctx.Err()), and a
+// sweep.WithProgress callback on ctx receives per-cell completion events.
+// In-flight cells run to completion; a single cell is not interruptible
+// mid-simulation.
+func RunSuite(ctx context.Context, measure time.Duration, workers int) ([]SuiteCell, error) {
 	if workers <= 0 {
 		workers = sweep.Workers()
 	}
-	return runSuiteCells(ctx, workers, suiteCellList(measure, suiteLegacy))
-}
-
-// suiteMode selects how the four world-reusing cells of the suite run.
-type suiteMode int
-
-const (
-	// suiteLegacy: the original in-place harnesses (RunPaging, Table1, …),
-	// pinned by the figure goldens and benchmark baselines.
-	suiteLegacy suiteMode = iota
-	// suiteCold: the warm+measure protocol, measuring on the warmed world
-	// itself (no forking).
-	suiteCold
-	// suiteForked: the warm+measure protocol, measuring on forks of shared
-	// warmed worlds. Must match suiteCold byte for byte.
-	suiteForked
-)
-
-// suiteCellDef is one experiment cell of the suite.
-type suiteCellDef struct {
-	name string
-	run  func(ctx context.Context) (string, error)
-}
-
-func runSuiteCells(ctx context.Context, workers int, cells []suiteCellDef) ([]SuiteCell, error) {
-	return sweep.MapWorkersContext(ctx, workers, cells, func(ctx context.Context, c suiteCellDef) (SuiteCell, error) {
+	return sweep.MapWorkersContext(ctx, workers, suiteCellList(measure), func(ctx context.Context, c suiteCellDef) (SuiteCell, error) {
 		out, err := c.run(ctx)
 		if err != nil {
 			return SuiteCell{}, fmt.Errorf("%s: %w", c.name, err)
@@ -72,28 +42,25 @@ func runSuiteCells(ctx context.Context, workers int, cells []suiteCellDef) ([]Su
 	})
 }
 
-// suiteCellList builds the suite's cells. Only the four heavyweight cells
-// depend on mode; every other cell runs the same harness in every mode.
-func suiteCellList(measure time.Duration, mode suiteMode) []suiteCellDef {
+// suiteCellDef is one experiment cell of the suite.
+type suiteCellDef struct {
+	name string
+	run  func(ctx context.Context) (string, error)
+}
+
+// suiteCellList builds the suite's cells. Table 1 runs its one harness;
+// Figs. 7–9 run the warm+measure protocol, measuring the warmed world in
+// place.
+func suiteCellList(measure time.Duration) []suiteCellDef {
 	short := measure
 	if short > 15*time.Second {
 		short = 15 * time.Second
 	}
 
-	runTable1 := Table1
-	runPaging := RunPaging
-	runFig9 := RunFig9
-	if mode != suiteLegacy {
-		forked := mode == suiteForked
-		runTable1 = func() ([]Table1Row, error) { return Table1Forked(1, forked) }
-		runPaging = func(opt PagingOptions) (*PagingResult, error) { return RunPagingForked(opt, forked) }
-		runFig9 = func(opt Fig9Options) (*Fig9Result, error) { return RunFig9Forked(opt, forked) }
-	}
-
 	type cell = suiteCellDef
 	cells := []cell{
 		{"table1", func(context.Context) (string, error) {
-			rows, err := runTable1()
+			rows, err := Table1()
 			if err != nil {
 				return "", err
 			}
@@ -106,7 +73,7 @@ func suiteCellList(measure time.Duration, mode suiteMode) []suiteCellDef {
 		{"fig7 paging-in", func(context.Context) (string, error) {
 			opt := DefaultPagingOptions()
 			opt.Measure = measure
-			r, err := runPaging(opt)
+			r, err := RunWarmPaging(opt)
 			if err != nil {
 				return "", err
 			}
@@ -117,7 +84,7 @@ func suiteCellList(measure time.Duration, mode suiteMode) []suiteCellDef {
 			opt.Measure = measure
 			opt.Write = true
 			opt.Forgetful = true
-			r, err := runPaging(opt)
+			r, err := RunWarmPaging(opt)
 			if err != nil {
 				return "", err
 			}
@@ -126,7 +93,7 @@ func suiteCellList(measure time.Duration, mode suiteMode) []suiteCellDef {
 		{"fig9 fs-isolation", func(context.Context) (string, error) {
 			opt := DefaultFig9Options()
 			opt.Measure = measure
-			r, err := runFig9(opt)
+			r, err := RunFig9Forked(opt, false)
 			if err != nil {
 				return "", err
 			}

@@ -147,9 +147,6 @@ func (r *RemoteBacking) HasCopy(va vm.VA) bool { return r.remote[vm.PageOf(va)] 
 // allocated and is reused on the next write of the same page.
 func (r *RemoteBacking) Invalidate(va vm.VA) { delete(r.remote, vm.PageOf(va)) }
 
-// RemotePages returns the number of pages with current remote copies.
-func (r *RemoteBacking) RemotePages() int { return len(r.remote) }
-
 // deliver routes one arrived reply. Runs in scheduler context (link event).
 func (r *RemoteBacking) deliver(rep *reply) {
 	c, ok := r.pending[rep.ID]

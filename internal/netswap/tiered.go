@@ -122,9 +122,6 @@ func NewTieredBacking(s *sim.Simulator, reg *obs.Registry, local *stretchdrv.Swa
 // Name implements stretchdrv.Backing.
 func (t *TieredBacking) Name() string { return "tiered" }
 
-// Local exposes the local tier.
-func (t *TieredBacking) Local() *stretchdrv.SwapBacking { return t.local }
-
 // Remote exposes the remote tier's client.
 func (t *TieredBacking) Remote() *RemoteBacking { return t.remote }
 

@@ -331,9 +331,28 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
-func (s *Server) submitFromRequest(w http.ResponseWriter, r *http.Request) (*Job, bool, bool) {
+// maxSpecBytes bounds a submitted spec body. Real specs are a few hundred
+// bytes; the bound keeps a runaway client from buffering megabytes.
+const maxSpecBytes = 64 << 10
+
+// decodeSpec reads the JSON spec from the request body. Unknown fields (a
+// typo such as "meassure") and bodies over maxSpecBytes are errors: a
+// misspelt spec must fail, not run defaults.
+func decodeSpec(w http.ResponseWriter, r *http.Request) (experiments.Spec, error) {
 	var spec experiments.Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		err = fmt.Errorf("body exceeds %d bytes", tooBig.Limit)
+	}
+	return spec, err
+}
+
+func (s *Server) submitFromRequest(w http.ResponseWriter, r *http.Request) (*Job, bool, bool) {
+	spec, err := decodeSpec(w, r)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad spec: %v", err))
 		return nil, false, false
 	}

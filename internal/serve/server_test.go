@@ -470,6 +470,45 @@ func TestBadSpecRejected(t *testing.T) {
 	}
 }
 
+// TestMalformedSpecRejectedLoudly: a misspelt field, an oversized body and
+// a negative duration must each fail with a 400 naming the cause, never run
+// the kind's defaults.
+func TestMalformedSpecRejectedLoudly(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	huge := `{"kind":"cluster","pad":"` + strings.Repeat("x", 3<<20) + `"}`
+	for _, tc := range []struct{ name, body, cause string }{
+		{"unknown field", `{"kind":"figure","figure":8,"meassure":"5s"}`, `unknown field "meassure"`},
+		{"oversized body", huge, "exceeds"},
+		{"negative measure", `{"kind":"figure","figure":8,"measure":"-5s"}`, `"measure"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, path := range []string{"/jobs", "/run"} {
+				resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(tc.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				body := readBody(t, resp)
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Errorf("%s: status %d (%s), want 400", path, resp.StatusCode, body)
+				}
+				var e struct{ Error string }
+				if err := json.Unmarshal(body, &e); err != nil {
+					t.Fatalf("%s: error body %s: %v", path, body, err)
+				}
+				if !strings.Contains(e.Error, tc.cause) {
+					t.Errorf("%s: error %q does not name %s", path, e.Error, tc.cause)
+				}
+			}
+		})
+	}
+	if runs := s.Runs(); runs != 0 {
+		t.Errorf("%d malformed specs ran", runs)
+	}
+}
+
 func TestStatsEndpoint(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 9})
 	defer s.Close()

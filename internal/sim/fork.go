@@ -74,19 +74,6 @@ func (s *Simulator) Fork() *Simulator {
 // Fork does automatically; this accessor exists for tests and snapshots.
 func (s *Simulator) RandDraws() uint64 { return s.src.n }
 
-// Reseed restarts the random stream from seed. It is only legal while the
-// stream is untouched: forked sweeps use it to give each cell of a shared
-// warm world its own per-cell seed, which is exact precisely because the
-// warm prefix made no draws. Reseeding a consumed stream would silently
-// desynchronise the fork from the cold-boot world it must reproduce, so
-// that case panics instead.
-func (s *Simulator) Reseed(seed int64) {
-	if s.src.n != 0 {
-		panic(fmt.Sprintf("sim: Reseed after %d random draws — the warm prefix must be draw-free", s.src.n))
-	}
-	s.src.Seed(seed)
-}
-
 // When reports a pending timer's scheduled instant and sequence number.
 // ok is false if the timer already fired, was stopped, or was recycled.
 // Snapshots use (t, seq) to re-arm the timer in a forked world with its

@@ -182,24 +182,3 @@ func (n *Nailed) Fork(ndom *domain.Domain, m *vm.ForkMaps) (*Nailed, error) {
 	ndom.Bind(nst, nd)
 	return nd, nil
 }
-
-// SetPolicy replaces the engine's replacement policy in place, migrating the
-// resident set in its current eviction order (soonest victim first), so a
-// warmed world can be re-parameterised after a fork without re-faulting its
-// pages. The clock policy seeds its ring in that order with the hand at the
-// front, the closest fresh-start equivalent of the carried set.
-func (e *Engine) SetPolicy(kind PolicyKind) error {
-	np, err := NewPolicy(kind)
-	if err != nil {
-		return err
-	}
-	for _, va := range e.policy.Resident() {
-		np.NoteMapped(va)
-	}
-	e.policy = np
-	if r := e.dom.Env().Obs; r != nil {
-		e.cPolicyEvict = r.Counter("pager", "evictions_"+np.Name(), e.dom.Name())
-		e.cSpares = r.Counter("pager", "spares_"+np.Name(), e.dom.Name())
-	}
-	return nil
-}

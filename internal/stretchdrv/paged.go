@@ -31,18 +31,9 @@ type Paged struct {
 	swap *SwapBacking
 }
 
-// NewPaged creates a paged stretch driver for st with the default options
-// (the paper's driver), swapping to swap, and binds it. Each blok holds
-// exactly one page.
-func NewPaged(dom *domain.Domain, st *vm.Stretch, swap *sfs.SwapFile) *Paged {
-	d, err := NewPagedOpts(dom, st, swap, PagerOptions{})
-	if err != nil {
-		panic(err) // zero options cannot fail
-	}
-	return d
-}
-
-// NewPagedOpts is NewPaged with explicit policy choices.
+// NewPagedOpts creates a paged stretch driver for st, swapping to swap,
+// and binds it. Each blok holds exactly one page; zero options give the
+// paper's driver.
 func NewPagedOpts(dom *domain.Domain, st *vm.Stretch, swap *sfs.SwapFile, opt PagerOptions) (*Paged, error) {
 	return NewPagedBacking(dom, st, NewSwapBacking(swap), opt)
 }

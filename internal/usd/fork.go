@@ -99,15 +99,3 @@ func (u *USD) Fork(ns *sim.Simulator, nd *disk.Disk, r *obs.Registry) (*USD, map
 	}
 	return nu, chans, claimed, nil
 }
-
-// SetClientX flips the extra-time (x) flag of one client's contract in
-// place. Ablation cells use it to reconfigure a forked world after the warm
-// phase without re-admitting the client.
-func (u *USD) SetClientX(name string, x bool) error {
-	cl, ok := u.clients[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownClient, name)
-	}
-	cl.ac.SetExtra(x)
-	return nil
-}

@@ -51,10 +51,9 @@ func (ts *TranslationSystem) Fork(ramtab *mem.RamTab) (*TranslationSystem, *Fork
 	nts.pds.pds = make([]*ProtectionDomain, len(ts.pds.pds))
 	for i, pd := range ts.pds.pds {
 		npd := &ProtectionDomain{
-			id:      pd.id,
-			asn:     pd.asn,
-			rights:  make(map[StretchID]Rights, len(pd.rights)),
-			changes: pd.changes,
+			id:     pd.id,
+			asn:    pd.asn,
+			rights: make(map[StretchID]Rights, len(pd.rights)),
 		}
 		for sid, r := range pd.rights {
 			npd.rights[sid] = r
@@ -85,7 +84,7 @@ func (ts *TranslationSystem) Fork(ramtab *mem.RamTab) (*TranslationSystem, *Fork
 
 // fork deep-copies the linear page table, recording each copied PTE in m.
 func (pt *PageTable) fork(m map[*PTE]*PTE) *PageTable {
-	npt := &PageTable{entries: make(map[VPN]*PTE, len(pt.entries)), lookups: pt.lookups}
+	npt := &PageTable{entries: make(map[VPN]*PTE, len(pt.entries))}
 	for vpn, pte := range pt.entries {
 		np := *pte
 		npt.entries[vpn] = &np

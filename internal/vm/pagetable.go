@@ -43,7 +43,6 @@ type PTE struct {
 // lookups run real code whose simulated cost the cpu package charges.
 type PageTable struct {
 	entries map[VPN]*PTE
-	lookups int64
 }
 
 // NewPageTable returns an empty table.
@@ -51,12 +50,8 @@ func NewPageTable() *PageTable {
 	return &PageTable{entries: make(map[VPN]*PTE)}
 }
 
-// Lookups returns the number of entry lookups performed (walk count).
-func (pt *PageTable) Lookups() int64 { return pt.lookups }
-
 // Lookup returns the entry for vpn, or nil if the page is unallocated.
 func (pt *PageTable) Lookup(vpn VPN) *PTE {
-	pt.lookups++
 	return pt.entries[vpn]
 }
 

@@ -10,9 +10,6 @@ type ProtectionDomain struct {
 	id     uint32
 	asn    uint16
 	rights map[StretchID]Rights
-	// changes counts rights updates (idempotent changes excluded), for
-	// the microbenchmarks' idempotence check.
-	changes int64
 }
 
 // ID returns the protection domain identifier.
@@ -24,9 +21,6 @@ func (pd *ProtectionDomain) ASN() uint16 { return pd.asn }
 
 // RightsOn returns the rights this protection domain holds on a stretch.
 func (pd *ProtectionDomain) RightsOn(sid StretchID) Rights { return pd.rights[sid] }
-
-// Changes returns the number of effective (non-idempotent) rights changes.
-func (pd *ProtectionDomain) Changes() int64 { return pd.changes }
 
 // setRights updates the mapping, detecting idempotent changes (the paper's
 // protection scheme short-circuits them). It reports whether anything
@@ -40,7 +34,6 @@ func (pd *ProtectionDomain) setRights(sid StretchID, r Rights) bool {
 	} else {
 		pd.rights[sid] = r
 	}
-	pd.changes++
 	return true
 }
 
