@@ -2,7 +2,7 @@ GO ?= go
 BENCHFLAGS ?= -run=NONE -bench=. -benchtime=1x -benchmem
 BASELINE ?= BENCH_BASELINE.json
 
-.PHONY: build test race bench bench-sim bench-baseline bench-fork lint suite cluster serve loadtest
+.PHONY: build test race bench bench-micro bench-baseline bench-fork lint suite cluster serve loadtest
 
 build:
 	$(GO) build ./...
@@ -21,12 +21,12 @@ bench:
 	$(GO) test $(BENCHFLAGS) ./... | tee bench.out
 	$(GO) run ./cmd/benchcmp -baseline $(BASELINE) -fail-over 10 bench.out
 
-# Time the simulator's own microbenchmarks properly: time-based runs,
-# repeated, so event dispatch, process switch and spawn costs are real
-# per-operation figures rather than one iteration plus setup. Informational;
-# `make bench` stays the gate.
-bench-sim:
-	$(GO) test -run=NONE -bench=. -benchmem -count=5 ./internal/sim
+# Time the per-layer microbenchmarks properly: time-based runs, repeated, so
+# event dispatch, process switch, TLB, frame allocation, scheduling, disk,
+# pager and telemetry costs are real per-operation figures rather than one
+# iteration plus setup. Informational; `make bench` stays the gate.
+bench-micro:
+	$(GO) test -run=NONE -bench=. -benchmem -count=5 ./internal/sim ./internal/vm ./internal/mem ./internal/atropos ./internal/disk ./internal/stretchdrv ./internal/obs | tee bench-micro.out
 
 # Price the checkpoint: the fork microbenchmark (wall cost of one fork plus
 # its deterministic copy accounting). The sim_fork_* metrics are gated by

@@ -8,11 +8,10 @@ import (
 )
 
 // This file retains the original linear-scan implementation of the Atropos
-// accounting core, verbatim, as ReferenceCore. It exists solely so the
-// equivalence tests can co-run it against the indexed (heap-backed) Core and
+// accounting core, verbatim, as ReferenceCore. It is a test oracle: the
+// equivalence tests co-run it against the indexed (heap-backed) Core and
 // assert that every scheduling decision is identical over seeded random
-// contract sets. Production code must use Core; nothing outside the package
-// tests should construct a ReferenceCore.
+// contract sets, and BenchmarkReferenceTick prices the linear scan.
 
 // ReferenceClient is one contracted consumer of the resource under the
 // reference (linear) core.

@@ -101,11 +101,24 @@ type Spec struct {
 // cleared. Two specs describing the same experiment — default-vs-explicit
 // values, any duration spelling, any field order on the wire — normalize to
 // identical structs, which is what makes results content-addressable.
-// A zero or omitted duration means the kind's default; a negative one is
-// an error naming the field, never silently defaulted.
+// A zero or omitted duration or count means the kind's default; a negative
+// one is an error naming the field, never silently defaulted.
 func (s *Spec) Normalize() error {
 	if s.Measure < 0 {
 		return fmt.Errorf("experiments: spec field \"measure\" is %v, want a positive duration (omit it for the default)", s.Measure.D())
+	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"seed", s.Seed},
+		{"machines", int64(s.Machines)},
+		{"domains_per_machine", int64(s.DomainsPerMachine)},
+		{"servers", int64(s.Servers)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("experiments: spec field %q is %d, want a positive value (omit it for the default)", f.name, f.v)
+		}
 	}
 	c := Spec{Kind: s.Kind}
 	switch s.Kind {

@@ -112,6 +112,35 @@ func TestNormalizeNamesNegativeDuration(t *testing.T) {
 	}
 }
 
+func TestNormalizeNamesNegativeCount(t *testing.T) {
+	for _, tc := range []struct {
+		spec  Spec
+		field string
+	}{
+		{Spec{Kind: KindFigure, Figure: 7, Seed: -1}, `"seed"`},
+		{Spec{Kind: KindAttribution, Seed: -3}, `"seed"`},
+		{Spec{Kind: KindCluster, Seed: -1}, `"seed"`},
+		{Spec{Kind: KindCluster, Machines: -2}, `"machines"`},
+		{Spec{Kind: KindCluster, DomainsPerMachine: -250}, `"domains_per_machine"`},
+		{Spec{Kind: KindCluster, Servers: -1}, `"servers"`},
+		// A field the kind ignores is still rejected rather than cleared.
+		{Spec{Kind: KindSuite, Machines: -1}, `"machines"`},
+	} {
+		err := tc.spec.Normalize()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("spec %+v: error %v, want one naming %s", tc.spec, err, tc.field)
+		}
+	}
+	// Zero still means the default.
+	zero := Spec{Kind: KindCluster}
+	if err := zero.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if zero.Seed <= 0 || zero.Machines <= 0 || zero.DomainsPerMachine <= 0 || zero.Servers <= 0 {
+		t.Errorf("zero cluster spec normalized to %+v, want positive defaults", zero)
+	}
+}
+
 func TestRunSpecNetswapDeterministicAcrossWorkers(t *testing.T) {
 	spec := Spec{
 		Kind:      KindNetswap,

@@ -97,13 +97,19 @@ type FramesAllocator struct {
 // SetObs attaches a telemetry registry. Call before admitting clients so
 // per-client handles are created with it; a nil registry disables telemetry.
 func (fa *FramesAllocator) SetObs(r *obs.Registry) {
+	fa.bindObs(r)
+	fa.gFree.Set(int64(fa.nfree))
+}
+
+// bindObs points the allocator's telemetry handles at r without updating
+// any of them.
+func (fa *FramesAllocator) bindObs(r *obs.Registry) {
 	fa.obs = r
 	fa.gFree = r.Gauge("frames", "free", "")
 	fa.cTransparent = r.Counter("frames", "revocations_transparent", "")
 	fa.cIntrusive = r.Counter("frames", "revocations_intrusive", "")
 	fa.cTimeouts = r.Counter("frames", "revocation_timeouts", "")
 	fa.hRevoke = r.Histogram("frames", "revocation_latency", "")
-	fa.gFree.Set(int64(fa.nfree))
 }
 
 // NewFramesAllocator creates an allocator over store/ramtab (which must

@@ -83,7 +83,9 @@ func (fa *FramesAllocator) Fork(s *sim.Simulator, store *FrameStore, ramtab *Ram
 		RevocationTimeout: fa.RevocationTimeout,
 	}
 	if r != nil {
-		nfa.SetObs(r)
+		// r is the parent registry's fork, so it already holds the parent's
+		// frames/free level and update instant: bind, do not re-Set.
+		nfa.bindObs(r)
 	}
 	for id, c := range fa.clients {
 		nc := &Client{

@@ -196,9 +196,3 @@ func (j *Job) Cancel() bool {
 		return false
 	}
 }
-
-// markCanceled records the terminal canceled state (used by the worker once
-// a cancelled run unwinds).
-func (j *Job) markCanceled(msg string) {
-	j.finish(JobCanceled, msg, nil)
-}

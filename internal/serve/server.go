@@ -231,17 +231,19 @@ func (s *Server) runJob(j *Job) {
 	} else {
 		out, err = s.run(ctx, j.Spec, s.cfg.SweepWorkers)
 	}
+	// Each outcome is logged before the job finishes: finishing releases
+	// waiters such as a /run client, which must then find the line written.
 	if err != nil {
+		state, msg := JobFailed, err.Error()
 		switch {
 		case errors.Is(err, context.Canceled):
-			j.markCanceled("canceled mid-run")
+			state, msg = JobCanceled, "canceled mid-run"
 		case errors.Is(err, context.DeadlineExceeded):
-			j.fail(fmt.Sprintf("job exceeded its %v timeout", s.cfg.JobTimeout))
-		default:
-			j.fail(err.Error())
+			msg = fmt.Sprintf("job exceeded its %v timeout", s.cfg.JobTimeout)
 		}
-		s.logJob("job finished", j, "state", j.Snapshot().State,
+		s.logJob("job finished", j, "state", state,
 			"duration_ms", float64(time.Since(began).Microseconds())/1e3, "error", err.Error())
+		j.finish(state, msg, nil)
 		return
 	}
 	body, err := experiments.EncodeResult(out.Result)
@@ -251,9 +253,9 @@ func (s *Server) runJob(j *Job) {
 	}
 	e := &Entry{Key: j.Key, Body: body, Trace: out.Trace, Audit: out.Audit}
 	s.cache.Put(e)
-	j.complete(e)
-	s.logJob("job finished", j, "state", j.Snapshot().State,
+	s.logJob("job finished", j, "state", JobDone,
 		"duration_ms", float64(time.Since(began).Microseconds())/1e3)
+	j.complete(e)
 }
 
 // runWarmFigure answers a poolable figure job by forking the resident

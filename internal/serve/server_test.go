@@ -483,6 +483,7 @@ func TestMalformedSpecRejectedLoudly(t *testing.T) {
 		{"unknown field", `{"kind":"figure","figure":8,"meassure":"5s"}`, `unknown field "meassure"`},
 		{"oversized body", huge, "exceeds"},
 		{"negative measure", `{"kind":"figure","figure":8,"measure":"-5s"}`, `"measure"`},
+		{"negative machines", `{"kind":"cluster","machines":-2}`, `"machines"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, path := range []string{"/jobs", "/run"} {

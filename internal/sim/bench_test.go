@@ -14,10 +14,34 @@ func BenchmarkEventDispatch(b *testing.B) {
 	}
 }
 
+// BenchmarkProcContextSwitch prices one park/wake round trip: two processes
+// sleep 2µs each, offset by 1µs, so every wake has the other process's wake
+// queued before it and really switches coroutines.
 func BenchmarkProcContextSwitch(b *testing.B) {
 	s := New(1)
 	n := 0
-	s.Spawn("switcher", func(p *Proc) {
+	body := func(offset time.Duration) func(p *Proc) {
+		return func(p *Proc) {
+			p.Sleep(offset)
+			for n < b.N {
+				p.Sleep(2 * time.Microsecond)
+				n++
+			}
+		}
+	}
+	s.Spawn("even", body(0))
+	s.Spawn("odd", body(time.Microsecond))
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.RunUntilIdle(b.N + 10)
+}
+
+// BenchmarkProcSleepInPlace prices a lone sleeper's Sleep: its own wake is
+// always the next event, so it resumes in place without switching.
+func BenchmarkProcSleepInPlace(b *testing.B) {
+	s := New(1)
+	n := 0
+	s.Spawn("lone", func(p *Proc) {
 		for n < b.N {
 			p.Sleep(time.Microsecond)
 			n++

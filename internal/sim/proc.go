@@ -31,7 +31,8 @@ func (e *ProcPanic) Error() string {
 // dispatches it and that returns control by blocking on one of the Proc
 // primitives (Sleep, Yield, Cond.Wait, ...). At most one Proc executes at any
 // moment. Dispatch and park are direct coroutine switches (iter.Pull), which
-// bypass the Go scheduler's run queue.
+// bypass the Go scheduler's run queue, and a park whose own wakeup is due
+// before any other process's resumes in place without switching at all.
 type Proc struct {
 	sim   *Simulator
 	name  string
@@ -115,10 +116,15 @@ func (p *Proc) wake(tok uint64) {
 
 // dispatch switches to the process and returns when it parks or finishes.
 func (p *Proc) dispatch() {
-	prev := p.sim.current
-	p.sim.current = p
+	s := p.sim
+	prev := s.current
+	s.current = p
 	p.next()
-	p.sim.current = prev
+	s.current = prev
+	if r := s.callbackPanic; r != nil {
+		s.callbackPanic = nil
+		panic(r)
+	}
 	p.raise()
 }
 
@@ -130,10 +136,13 @@ func (p *Proc) raise() {
 }
 
 // park returns control to the scheduler. The caller must already have
-// arranged a wakeup (via prepare + some event calling wake). A process that
-// was killed or stopped while parked unwinds instead of returning.
+// arranged a wakeup (via prepare + some event calling wake). When only
+// callbacks are due before that wakeup, the process runs them itself and
+// resumes in place (runInline). A process that was killed or stopped while
+// parked unwinds instead of returning.
 func (p *Proc) park() {
-	if !p.yield(struct{}{}) || p.killed {
+	resumed := p.sim.runInline(p) || p.yield(struct{}{})
+	if !resumed || p.killed {
 		panic(killSentinel{p.name})
 	}
 }

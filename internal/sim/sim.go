@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime/debug"
 	"time"
 )
 
@@ -119,9 +121,17 @@ type Simulator struct {
 	// same-instant tie order is identical on both sides of a fork.
 	donations map[*Proc]donatedWake
 
-	// Trace, when non-nil, receives a line for every dispatched event.
-	// Used only by tests and debugging tools.
-	Trace func(t Time, what string)
+	// horizon is the limit of the Run or RunUntilIdle call in progress, or
+	// -1 when none is; dispatchBound is the dispatch count that call may not
+	// reach (RunUntilIdle's runaway bound), or 0 when none is. A parking
+	// process runs events in place only within both (see runInline), so
+	// outside Run every park switches.
+	horizon       Time
+	dispatchBound int64
+
+	// callbackPanic holds a panic of a callback run by runInline, until the
+	// scheduler re-raises it.
+	callbackPanic *CallbackPanic
 }
 
 // New returns a simulator whose random source is seeded with seed. The same
@@ -130,7 +140,7 @@ type Simulator struct {
 // and a Fork can clone the position exactly.
 func New(seed int64) *Simulator {
 	src := newCountingSource(seed)
-	return &Simulator{src: src, rng: rand.New(src)}
+	return &Simulator{src: src, rng: rand.New(src), horizon: -1}
 }
 
 // Now returns the current simulated instant.
@@ -253,25 +263,108 @@ func (s *Simulator) step(limit Time) bool {
 	if next == nil || next.t > limit {
 		return false
 	}
-	s.events.pop()
-	s.dispatched++
-	if next.t > s.now {
-		s.now = next.t
-	}
-	fn, p, tok := next.fn, next.p, next.tok
-	s.recycle(next)
+	fn, p, tok := s.take()
 	if p != nil {
 		p.wake(tok)
 	} else {
-		fn()
+		call(fn)
 	}
 	return true
 }
+
+// CallbackPanic is the value a Simulator method (Run, RunUntilIdle, ...)
+// panics with when an event callback panics, whether the scheduler ran the
+// callback or a parking process ran it in place. The scheduler state is
+// consistent, so the caller may recover it and run on or call Shutdown.
+type CallbackPanic struct {
+	Value any    // the value the callback panicked with
+	Stack []byte // the stack at the panic, down to the callback's own frame
+}
+
+func (e *CallbackPanic) Error() string {
+	return fmt.Sprintf("sim: event callback panicked: %v\n\n%s", e.Value, e.Stack)
+}
+
+// call runs callback fn from the scheduler, wrapping a panic in a
+// CallbackPanic that carries the callback's stack.
+func call(fn func()) {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(&CallbackPanic{Value: r, Stack: debug.Stack()})
+		}
+	}()
+	fn()
+}
+
+// take pops the earliest event for dispatch: it counts the dispatch,
+// advances the clock to the event's instant and recycles the event,
+// returning what to run.
+func (s *Simulator) take() (fn func(), p *Proc, tok uint64) {
+	ev := s.events.pop()
+	s.dispatched++
+	if ev.t > s.now {
+		s.now = ev.t
+	}
+	fn, p, tok = ev.fn, ev.p, ev.tok
+	s.recycle(ev)
+	return fn, p, tok
+}
+
+// runInline is the scheduler loop run on the coroutine of parking process
+// p, for as long as switching to the scheduler could not matter: it
+// dispatches the callback events due next, in order, exactly as the
+// scheduler's step would (same horizon, dispatch bound, clock and count),
+// and stops at the first process wake. If that wake is p's own current one
+// it consumes it and reports true: p resumes in place without a switch.
+// Anything else — another process's wake, a stale wake, the horizon, the
+// dispatch bound or a panicking callback — is left to the scheduler, and p
+// parks as usual.
+func (s *Simulator) runInline(p *Proc) bool {
+	for s.dispatched < s.dispatchBound {
+		ev := s.peekLive()
+		if ev == nil || ev.t > s.horizon {
+			return false
+		}
+		if ev.p != nil && (ev.p != p || ev.tok != p.wakeSeq) {
+			return false
+		}
+		fn, _, _ := s.take()
+		if fn == nil {
+			return true
+		}
+		if !s.callInline(p, fn) {
+			return false
+		}
+	}
+	return false
+}
+
+// callInline runs callback fn on p's coroutine in scheduler context
+// (Current is nil while it runs). A panic in fn is recorded, with the
+// callback's stack, for the scheduler to re-raise once p has parked, so it
+// reaches the caller of Run as it would have from the scheduler; callInline
+// then reports false.
+func (s *Simulator) callInline(p *Proc, fn func()) (ok bool) {
+	defer func() {
+		s.current = p
+		if r := recover(); r != nil {
+			s.callbackPanic = &CallbackPanic{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	s.current = nil
+	fn()
+	return true
+}
+
+// stopped marks that no Run or RunUntilIdle call is in progress.
+func (s *Simulator) stopped() { s.horizon, s.dispatchBound = -1, 0 }
 
 // Run executes events until the queue is exhausted or the clock would pass
 // until. On return the clock reads min(until, time of last event run), and
 // is advanced to until if the queue drained earlier.
 func (s *Simulator) Run(until Time) {
+	s.horizon, s.dispatchBound = until, math.MaxInt64
+	defer s.stopped()
 	for s.step(until) {
 	}
 	if s.now < until {
@@ -303,11 +396,21 @@ func (s *Simulator) Shutdown() {
 // RunUntilIdle executes events until none remain. It panics if the
 // simulation exceeds maxEvents dispatches, which indicates a runaway loop.
 func (s *Simulator) RunUntilIdle(maxEvents int) {
-	for i := 0; ; i++ {
-		if i > maxEvents {
+	const forever = Time(1<<62 - 1)
+	start := s.dispatched
+	// The scheduler dispatches an event only while the count run so far is
+	// at most maxEvents, so events run in place must stay below this bound.
+	bound := int64(math.MaxInt64)
+	if int64(maxEvents) < bound-start {
+		bound = start + int64(maxEvents) + 1
+	}
+	s.horizon, s.dispatchBound = forever, bound
+	defer s.stopped()
+	for {
+		if s.dispatched-start > int64(maxEvents) {
 			panic(fmt.Sprintf("sim: RunUntilIdle exceeded %d events at t=%v", maxEvents, s.now))
 		}
-		if !s.step(Time(1<<62 - 1)) {
+		if !s.step(forever) {
 			return
 		}
 	}

@@ -10,7 +10,9 @@
 //   - A cooperative process model (Simulator.Spawn) in which each process is
 //     a coroutine (iter.Pull), and exactly one process runs at any instant;
 //     the scheduler switches directly into a process and the process
-//     switches directly back when it blocks.
+//     switches directly back when it blocks — unless its own wakeup is due
+//     before any other process's, in which case it runs the callbacks due
+//     first itself and resumes in place.
 //     This keeps application-style code (threads that block on page faults,
 //     worker threads, schedulers) natural to write while preserving strict
 //     determinism.
