@@ -151,7 +151,7 @@ func BenchmarkFig9Isolation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opt := experiments.DefaultFig9Options()
 		opt.Measure = 15 * time.Second
-		r, err := experiments.RunFig9(opt)
+		r, err := experiments.RunFig9Forked(opt, false)
 		if err != nil {
 			b.Fatal(err)
 		}

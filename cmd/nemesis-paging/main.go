@@ -24,11 +24,13 @@
 //	         and per swap server, with flow arrows linking each client
 //	         net.out hop to the server-side service slice it triggered
 //
-// Figs. 7–9 (and the suite's figure cells) run the warm+measure protocol:
-// the machine warms until its initialisation threads exit, then that same
-// world runs the measured window; nothing here forks a world. -timeline and
-// -simprofile run the legacy harness instead, whose recorder and
-// attribution cover the whole run.
+// Figs. 7–9 (and the suite's figure cells) run the warm+measure protocol,
+// whatever observability is on: the machine warms until its initialisation
+// threads exit, then that same world runs the measured window; nothing here
+// forks a world. -metrics and -simprofile only observe, so stdout is the
+// plain run's; -timeline starts its recorder at the measure instant and
+// leaves Fig. 9's numbers alone, while on Figs. 7/8 its revocation episode
+// perturbs them.
 //
 // The -suite-json and -cluster-json exports use the same spec/result schema
 // as the nemesis-serve HTTP API (internal/experiments.Spec/Result): for a
@@ -38,9 +40,6 @@
 //	         export the run's timeline (figs 7/8/9) as Chrome trace-event
 //	         JSON, loadable in ui.perfetto.dev; adds a deterministic
 //	         revocation episode to figs 7/8 so revocation phases appear
-//	-timeline-jsonl out.jsonl
-//	         export the compact JSONL timeline dump instead (convert or
-//	         validate with nemesis-timeline)
 //	-simprofile out.folded
 //	         write the exact sim-time attribution profile (figs 7/8) in
 //	         folded-stack form; render it with nemesis-flame -in
@@ -133,7 +132,6 @@ func main() {
 	metrics := flag.Bool("metrics", false, "enable fault-path telemetry and append span/metric summaries (figs 7/8)")
 	e8 := flag.String("e8", "", "netswap experiment: sweep, outage, degrade, or all")
 	timeline := flag.String("timeline", "", "write a Perfetto-loadable trace-event JSON timeline to this file (figs 7/8/9)")
-	timelineJSONL := flag.String("timeline-jsonl", "", "write the compact JSONL timeline dump to this file (convert with nemesis-timeline)")
 	simprofile := flag.String("simprofile", "", "write the folded-stack sim-time attribution profile to this file (figs 7/8; implies telemetry)")
 	suite := flag.Bool("suite", false, "run the full experiment suite as parallel deterministic cells")
 	suiteJSON := flag.String("suite-json", "", "write the full suite result as JSON to this file (same schema and bytes as the nemesis-serve API)")
@@ -197,21 +195,12 @@ func main() {
 			opt.Forgetful = true
 		}
 		opt.Telemetry = *metrics || *simprofile != ""
-		opt.Timeline = *timeline != "" || *timelineJSONL != ""
-		// Timeline recording and the attribution profile need the legacy
-		// in-place harness; everything else runs the warm+measure protocol
-		// the suite and the server use.
-		var r *experiments.PagingResult
-		var err error
-		if !opt.Timeline && *simprofile == "" {
-			r, err = experiments.RunWarmPaging(opt)
-		} else {
-			r, err = experiments.RunPaging(opt)
-		}
+		opt.Timeline = *timeline != ""
+		r, err := experiments.RunWarmPaging(opt)
 		if err != nil {
 			fatalf("nemesis-paging: %v", err)
 		}
-		writeTimelines(r.Sys, *timeline, *timelineJSONL)
+		writeTimeline(r.Sys, *timeline)
 		if *simprofile != "" {
 			if err := r.Sys.CheckAttribution(); err != nil {
 				fatalf("nemesis-paging: %v", err)
@@ -253,18 +242,12 @@ func main() {
 		opt := experiments.DefaultFig9Options()
 		opt.Measure = *measure
 		opt.Seed = *seed
-		opt.Timeline = *timeline != "" || *timelineJSONL != ""
-		var r *experiments.Fig9Result
-		var err error
-		if !opt.Timeline {
-			r, err = experiments.RunFig9Forked(opt, false)
-		} else {
-			r, err = experiments.RunFig9(opt)
-		}
+		opt.Timeline = *timeline != ""
+		r, err := experiments.RunFig9Forked(opt, false)
 		if err != nil {
 			fatalf("nemesis-paging: %v", err)
 		}
-		writeTimelines(r.ContendedSys, *timeline, *timelineJSONL)
+		writeTimeline(r.ContendedSys, *timeline)
 		fmt.Println("# Figure 9: file-system client isolation")
 		fmt.Printf("fs alone:\t%.2f Mbit/s\n", r.AloneMbps)
 		fmt.Printf("fs + 2 pagers:\t%.2f Mbit/s\n", r.ContendedMbps)
@@ -294,17 +277,11 @@ func writeFile(path string, render func(io.Writer) error) {
 	}
 }
 
-// writeTimelines exports the run's timeline in whichever formats were
-// requested (no-ops on empty paths or a nil system).
-func writeTimelines(sys *core.System, tracePath, jsonlPath string) {
-	if sys == nil {
-		return
-	}
-	if tracePath != "" {
-		writeFile(tracePath, sys.WriteTimeline)
-	}
-	if jsonlPath != "" {
-		writeFile(jsonlPath, sys.WriteTimelineJSONL)
+// writeTimeline exports the run's timeline as trace-event JSON (a no-op on
+// an empty path).
+func writeTimeline(sys *core.System, path string) {
+	if path != "" {
+		writeFile(path, sys.WriteTimeline)
 	}
 }
 

@@ -1,14 +1,9 @@
-// Command nemesis-timeline converts and validates timeline artifacts:
+// Command nemesis-timeline validates timeline artifacts:
 //
-//	nemesis-timeline -in run.jsonl -out run.json
-//	         convert a compact JSONL timeline dump (nemesis-paging
-//	         -timeline-jsonl) into Chrome trace-event JSON for
-//	         ui.perfetto.dev
 //	nemesis-timeline -check run.json
-//	         validate a trace-event JSON file against the minimal schema
-//	         (non-empty traceEvents; name/phase/pid/ts on every event)
-//
-// Both may be combined: convert, then validate the result.
+//	         validate a trace-event JSON file (nemesis-paging -timeline or
+//	         -cluster-trace, or a served trace artifact) against the minimal
+//	         schema (non-empty traceEvents; name/phase/pid/ts on every event)
 package main
 
 import (
@@ -22,54 +17,20 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	in := flag.String("in", "", "JSONL timeline dump to convert")
-	out := flag.String("out", "", "trace-event JSON output path (default stdout)")
 	check := flag.String("check", "", "trace-event JSON file to validate")
 	flag.Parse()
 
-	if *in == "" && *check == "" {
-		log.Fatal("nemesis-timeline: nothing to do (want -in and/or -check)")
+	if *check == "" {
+		log.Fatal("nemesis-timeline: nothing to do (want -check)")
 	}
-
-	if *in != "" {
-		f, err := os.Open(*in)
-		if err != nil {
-			log.Fatalf("nemesis-timeline: %v", err)
-		}
-		dump, err := obs.ParseTimelineJSONL(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("nemesis-timeline: %v", err)
-		}
-		w := os.Stdout
-		if *out != "" {
-			w, err = os.Create(*out)
-			if err != nil {
-				log.Fatalf("nemesis-timeline: %v", err)
-			}
-		}
-		if err := dump.WriteTrace(w); err != nil {
-			log.Fatalf("nemesis-timeline: %v", err)
-		}
-		if *out != "" {
-			if err := w.Close(); err != nil {
-				log.Fatalf("nemesis-timeline: %v", err)
-			}
-			fmt.Printf("wrote %s: %d tracks, %d spans, %d audit events\n",
-				*out, len(dump.Tracks), len(dump.Spans), len(dump.Audit))
-		}
+	f, err := os.Open(*check)
+	if err != nil {
+		log.Fatalf("nemesis-timeline: %v", err)
 	}
-
-	if *check != "" {
-		f, err := os.Open(*check)
-		if err != nil {
-			log.Fatalf("nemesis-timeline: %v", err)
-		}
-		err = obs.ValidateTrace(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("nemesis-timeline: %s: %v", *check, err)
-		}
-		fmt.Printf("%s: valid trace-event JSON\n", *check)
+	err = obs.ValidateTrace(f)
+	f.Close()
+	if err != nil {
+		log.Fatalf("nemesis-timeline: %s: %v", *check, err)
 	}
+	fmt.Printf("%s: valid trace-event JSON\n", *check)
 }

@@ -58,7 +58,7 @@ func main() {
 		}
 	}
 
-	r, err := experiments.RunPaging(opt)
+	r, err := experiments.RunWarmPaging(opt)
 	if err != nil {
 		log.Fatalf("nemesis-top: %v", err)
 	}

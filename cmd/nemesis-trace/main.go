@@ -2,7 +2,8 @@
 // the detailed USD scheduler trace, as TSV. Each row is one event — a
 // transaction (the filled boxes), a lax charge (the solid lines), or a
 // periodic allocation (the small arrows) — with client, start, end and
-// duration in milliseconds.
+// duration in milliseconds. It runs the same warm+measure world as
+// nemesis-paging -fig 7|8, whose top halves it completes.
 //
 // Usage:
 //
@@ -38,7 +39,7 @@ func main() {
 	} else if *fig != 7 {
 		log.Fatalf("nemesis-trace: unknown figure %d", *fig)
 	}
-	r, err := experiments.RunPaging(opt)
+	r, err := experiments.RunWarmPaging(opt)
 	if err != nil {
 		log.Fatalf("nemesis-trace: %v", err)
 	}

@@ -18,7 +18,7 @@ func main() {
 	opt.Measure = 20 * time.Second
 
 	fmt.Println("running three self-paging domains with 10/20/40% disk guarantees...")
-	r, err := experiments.RunPaging(opt)
+	r, err := experiments.RunWarmPaging(opt)
 	if err != nil {
 		log.Fatal(err)
 	}

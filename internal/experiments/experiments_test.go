@@ -8,13 +8,34 @@ import (
 // Experiment tests use shortened measurement windows: the assertions are on
 // the *shapes* the paper reports, which emerge well before the full 40 s.
 
+// pagingRunners are the two Fig. 7/8 harnesses: the legacy one the
+// attribution profiles and the A1/A2 ablations run, and warm+measure, whose
+// numbers the CLI, the suite and nemesis-serve ship. The paper-shape bounds
+// guard both.
+var pagingRunners = []struct {
+	name string
+	run  func(PagingOptions) (*PagingResult, error)
+}{
+	{"legacy", RunPaging},
+	{"warm", RunWarmPaging},
+}
+
 func TestFig7Shape(t *testing.T) {
-	opt := DefaultPagingOptions()
-	opt.Measure = 15 * time.Second
-	r, err := RunPaging(opt)
-	if err != nil {
-		t.Fatal(err)
+	for _, pr := range pagingRunners {
+		t.Run(pr.name, func(t *testing.T) {
+			opt := DefaultPagingOptions()
+			opt.Measure = 15 * time.Second
+			r, err := pr.run(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFig7Shape(t, r)
+		})
 	}
+}
+
+func checkFig7Shape(t *testing.T, r *PagingResult) {
+	t.Helper()
 	if len(r.MeanMbps) != 3 {
 		t.Fatalf("means = %v", r.MeanMbps)
 	}
@@ -78,14 +99,23 @@ func assertGuarantees(t *testing.T, r *PagingResult) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	opt := DefaultPagingOptions()
-	opt.Write = true
-	opt.Forgetful = true
-	opt.Measure = 15 * time.Second
-	r, err := RunPaging(opt)
-	if err != nil {
-		t.Fatal(err)
+	for _, pr := range pagingRunners {
+		t.Run(pr.name, func(t *testing.T) {
+			opt := DefaultPagingOptions()
+			opt.Write = true
+			opt.Forgetful = true
+			opt.Measure = 15 * time.Second
+			r, err := pr.run(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFig8Shape(t, r)
+		})
 	}
+}
+
+func checkFig8Shape(t *testing.T, r *PagingResult) {
+	t.Helper()
 	// Roughly proportional progress.
 	for i, ratio := range r.Ratios() {
 		if ratio < 1.5 || ratio > 2.5 {
@@ -123,7 +153,7 @@ func TestFig8Shape(t *testing.T) {
 func TestFig9Isolation(t *testing.T) {
 	opt := DefaultFig9Options()
 	opt.Measure = 20 * time.Second
-	r, err := RunFig9(opt)
+	r, err := RunFig9Forked(opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,23 +12,25 @@ import (
 	"nemesis/internal/workload"
 )
 
-// This file is the warm+measure experiment protocol. Each harness here
-// splits its legacy counterpart into two halves around a quiesced instant:
+// This file is the warm+measure experiment protocol, the one harness
+// behind Figs. 7–9 whatever observability is on. Each run splits around a
+// quiesced instant:
 //
 //	warm    — boot the machine and run the expensive initialisation
 //	          (demand-zero faults, swap population) in threads that EXIT
 //	          when done;
-//	measure — attach the steady-state workload and run the measured window.
+//	measure — attach the steady-state workload and run the measured window,
+//	          starting the timeline recorder (and, for Figs. 7/8, the
+//	          revocation episode) at the measure instant.
 //
 // Because the warmed world is quiesced, core.System.Fork can checkpoint it.
-// Only nemesis-serve's warm-world pool reuses one warm world for many
-// measurements, so only it forks (plus Fig. 9's forked mode, kept for the
-// serve path); every other caller measures the warmed world in place. The
-// equivalence tests pin in-place and forked measurement byte-identical.
+// Only nemesis-serve forks — its warm-world pool, and Fig. 9 specs — every
+// other caller measures the warmed world in place. The equivalence tests
+// pin in-place and forked measurement byte-identical.
 //
-// The legacy entry points (RunPaging, RunFig9) stay: timelines, attribution
-// profiles and the ablations use them, and the Fig. 7 golden and the gated
-// benchmarks pin their event stream, which differs from warm+measure's.
+// RunPaging, the legacy in-place harness, stays only for the attribution
+// profiles and the A1/A2 ablations: the Fig. 7 golden and the gated
+// benchmarks pin its event stream, which differs from warm+measure's.
 
 // PagingWarm is a warmed Fig. 7/8-style world: applications admitted and
 // initialised by threads that have exited, leaving the world quiesced and
@@ -45,66 +47,15 @@ type PagingWarm struct {
 // working set in (and, for the paging-out variants, populated swap), and
 // the init threads have exited.
 func WarmPaging(opt PagingOptions) (*PagingWarm, error) {
-	if opt.Timeline || opt.SnapshotEvery > 0 {
-		return nil, fmt.Errorf("experiments: timeline/snapshot options are not supported by the warm+measure protocol")
-	}
-	cfg := core.DefaultConfig()
-	cfg.Seed = opt.Seed
-	cfg.MemoryFrames = 2048 // 16 MB: ample, contention is per-contract
-	cfg.Telemetry = opt.Telemetry
-	sys := core.New(cfg)
-	sys.USD.LaxityEnabled = opt.LaxityEnabled
-	sys.USD.FCFS = opt.FCFS
-
+	opt.Telemetry = opt.Telemetry || opt.Timeline
+	sys := newPagingSystem(opt)
 	w := &PagingWarm{Opts: opt, Sys: sys, Set: &trace.SeriesSet{}}
-	add := func(name string, slice time.Duration, app bool) error {
-		pc := workload.DefaultPagerConfig(name, slice)
-		pc.DiskQoS = atropos.QoS{P: opt.Period, S: slice, X: false, L: opt.Laxity}
-		pc.VirtBytes = opt.VirtBytes
-		pc.PhysFrames = opt.PhysFrames
-		pc.SwapBytes = opt.SwapBytes
-		pc.Write = opt.Write
-		pc.Forgetful = opt.Forgetful
-		pc.SampleEvery = opt.SampleEvery
-		if app {
-			pc.Policy = opt.Policy
-			pc.Writeback = opt.Writeback
-			pc.ClusterSize = opt.ClusterSize
-		}
-		pg, err := workload.WarmPager(sys, pc, w.Set.New(name))
-		if err != nil {
-			return err
-		}
-		w.Pagers = append(w.Pagers, pg)
-		return nil
+	var err error
+	if w.Pagers, err = admitPagers(sys, opt, w.Set, workload.WarmPager); err != nil {
+		return nil, err
 	}
-	for i, slice := range opt.Slices {
-		name := fmt.Sprintf("app%d-%d%%", i+1, int(100*float64(slice)/float64(opt.Period)))
-		if err := add(name, slice, true); err != nil {
-			return nil, err
-		}
-	}
-	if opt.Hog {
-		if err := add("hog-5%", opt.Period/20, false); err != nil {
-			return nil, err
-		}
-	}
-
-	deadline := sys.Sim.Now().Add(opt.InitLimit)
-	for {
-		ready := true
-		for _, pg := range w.Pagers {
-			if !pg.Initialised {
-				ready = false
-			}
-		}
-		if ready {
-			break
-		}
-		if sys.Sim.Now() >= deadline {
-			return nil, fmt.Errorf("experiments: initialisation exceeded %v", opt.InitLimit)
-		}
-		sys.Run(time.Second)
+	if err := awaitInit(sys, w.Pagers, opt.InitLimit); err != nil {
+		return nil, err
 	}
 	return w, nil
 }
@@ -136,22 +87,13 @@ func (w *PagingWarm) Fork() (*PagingWarm, error) {
 func (w *PagingWarm) Measure(measure time.Duration) (*PagingResult, error) {
 	opt := w.Opts
 	opt.Measure = measure
-	sys := w.Sys
 	if opt.Telemetry {
-		sys.StartCrosstalkMonitor(obs.DefaultCrosstalkConfig())
+		w.Sys.StartCrosstalkMonitor(obs.DefaultCrosstalkConfig())
 	}
-	res := &PagingResult{Opts: opt, Sys: sys, Pagers: w.Pagers, Set: w.Set, Log: sys.USDLog}
-	res.MeasureStart = sys.Sim.Now().Duration()
 	for _, pg := range w.Pagers {
 		pg.Resume()
 	}
-	sys.Run(opt.Measure)
-	start := sys.Sim.Now().Add(-opt.Measure)
-	for _, pg := range w.Pagers {
-		res.MeanMbps = append(res.MeanMbps, pg.Series.MeanAfter(start))
-	}
-	sys.Shutdown()
-	return res, nil
+	return measureWindow(&PagingResult{Opts: opt, Sys: w.Sys, Pagers: w.Pagers, Set: w.Set, Log: w.Sys.USDLog})
 }
 
 // RunWarmPaging is RunPaging under the warm+measure protocol: the warmed
@@ -164,23 +106,23 @@ func RunWarmPaging(opt PagingOptions) (*PagingResult, error) {
 	return warm.Measure(opt.Measure)
 }
 
-// RunFig9Forked is RunFig9 under the warm+measure protocol: the competing
-// pagers initialise before the window, the world forks (when forked), and
-// the file-system client is created in the measure world — drivers that
-// appear after the fork need no snapshot support at all. The CLI and the
-// suite measure in place (forked=false); nemesis-serve forks, and its
-// benchmark accounting subtracts each fork's inherited warm work, so both
-// modes stay.
+// RunFig9Forked runs the file-system isolation experiment under the
+// warm+measure protocol: the competing pagers initialise before the window,
+// the world forks (when forked), and the file-system client is created in
+// the measure world — drivers that appear after the fork need no snapshot
+// support at all. The CLI and the suite measure in place (forked=false);
+// nemesis-serve forks, and its benchmark accounting subtracts each fork's
+// inherited warm work, so both modes stay. With Timeline the contended
+// world boots with telemetry on and its recorder starts at the measure
+// instant, after any fork.
 func RunFig9Forked(opt Fig9Options, forked bool) (*Fig9Result, error) {
-	if opt.Timeline {
-		return nil, fmt.Errorf("experiments: timeline is not supported by the warm+measure protocol")
-	}
 	res := &Fig9Result{Opts: opt}
 
 	runOnce := func(withPagers bool) (*trace.Series, float64, []float64, error) {
 		cfg := core.DefaultConfig()
 		cfg.Seed = opt.Seed
 		cfg.MemoryFrames = 2048
+		cfg.Telemetry = opt.Timeline && withPagers
 		sys := core.New(cfg)
 		var set trace.SeriesSet
 		var pagers []*workload.Pager
@@ -196,21 +138,8 @@ func RunFig9Forked(opt Fig9Options, forked bool) (*Fig9Result, error) {
 				}
 				pagers = append(pagers, pg)
 			}
-			deadline := sys.Sim.Now().Add(10 * time.Minute)
-			for {
-				ready := true
-				for _, pg := range pagers {
-					if !pg.Initialised {
-						ready = false
-					}
-				}
-				if ready {
-					break
-				}
-				if sys.Sim.Now() >= deadline {
-					return nil, 0, nil, fmt.Errorf("experiments: fig9 pager initialisation stalled")
-				}
-				sys.Run(time.Second)
+			if err := awaitInit(sys, pagers, 10*time.Minute); err != nil {
+				return nil, 0, nil, err
 			}
 		}
 		if forked {
@@ -228,7 +157,13 @@ func RunFig9Forked(opt Fig9Options, forked bool) (*Fig9Result, error) {
 			sys = snap.Sys
 			pagers = remapped
 		}
+		if cfg.Telemetry {
+			sys.StartRecorder(opt.Recorder)
+			res.ContendedSys = sys
+		}
 
+		// FS data lives on the first quarter of the disk; swap files are
+		// in the second half (DefaultConfig's partition).
 		part := usd.Extent{Start: 0, Count: sys.Disk.Geom.TotalBlocks / 4}
 		fcfg := workload.DefaultFSClientConfig("fs", part)
 		fcfg.DiskQoS = opt.FSQoS

@@ -93,3 +93,27 @@ func TestFig9ForkEquivalence(t *testing.T) {
 		t.Errorf("PagerMbps: in place %v, forked %v", inPlace.PagerMbps, forked.PagerMbps)
 	}
 }
+
+// TestPagingTelemetryObserveOnly: telemetry (spans, metrics, attribution,
+// the crosstalk monitor) observes a Fig. 7/8 run without changing it —
+// nemesis-paging -metrics and -simprofile print the plain run's means.
+func TestPagingTelemetryObserveOnly(t *testing.T) {
+	for _, fig8 := range []bool{false, true} {
+		var means [][]float64
+		for _, telemetry := range []bool{false, true} {
+			opt := DefaultPagingOptions()
+			opt.Measure = 5 * time.Second
+			opt.SampleEvery = time.Second
+			opt.Write, opt.Forgetful = fig8, fig8
+			opt.Telemetry = telemetry
+			r, err := RunWarmPaging(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			means = append(means, r.MeanMbps)
+		}
+		if !reflect.DeepEqual(means[0], means[1]) {
+			t.Errorf("fig8=%v: means without telemetry %v, with %v", fig8, means[0], means[1])
+		}
+	}
+}

@@ -2,7 +2,10 @@
 // paper's evaluation (§7), plus the ablations DESIGN.md calls out. Each
 // harness builds a fresh simulated machine, runs the paper's workload and
 // returns the series/rows the paper plots, so cmd/ tools and benchmarks can
-// regenerate every result.
+// regenerate every result. Figs. 7–9 run the warm+measure protocol
+// (forked.go) whether traced, profiled or plain; this file holds their
+// options and results, the builders both paging harnesses share, and the
+// legacy RunPaging that attribution and the A1/A2 ablations still use.
 package experiments
 
 import (
@@ -14,7 +17,6 @@ import (
 	"nemesis/internal/obs"
 	"nemesis/internal/stretchdrv"
 	"nemesis/internal/trace"
-	"nemesis/internal/usd"
 	"nemesis/internal/workload"
 )
 
@@ -59,11 +61,11 @@ type PagingOptions struct {
 	// applications' breakdowns stay flat — the attribution experiments
 	// assert exactly that. Off for all figure/golden runs.
 	Hog bool
-	// Timeline (implies Telemetry) starts the time-series recorder for the
-	// measured window and adds a deterministic revocation episode — a hog
+	// Timeline (implies Telemetry) starts the time-series recorder at the
+	// measure instant and adds a deterministic revocation episode — a hog
 	// domain holding optimistic frames is revoked from mid-measure — so the
-	// exported timeline always contains revocation-phase audit events. It
-	// perturbs the workload, so it is off for golden/figure runs.
+	// exported timeline always contains revocation-phase audit events. The
+	// episode perturbs the workload, so it is off for golden/figure runs.
 	Timeline bool
 	// Recorder overrides the recorder defaults when Timeline is set.
 	Recorder obs.RecorderConfig
@@ -122,11 +124,30 @@ func (r *PagingResult) Ratios() []float64 {
 	return out
 }
 
-// RunPaging executes a Fig. 7/8-style experiment.
+// RunPaging executes a Fig. 7/8-style experiment on the legacy harness:
+// each application's thread initialises and rolls straight into its
+// steady-state loop, so the world never quiesces and cannot fork. Only the
+// attribution profiles and the A1/A2 ablations run it; the figures use
+// RunWarmPaging.
 func RunPaging(opt PagingOptions) (*PagingResult, error) {
-	if opt.Timeline {
-		opt.Telemetry = true
+	opt.Telemetry = opt.Telemetry || opt.Timeline
+	sys := newPagingSystem(opt)
+	if opt.Telemetry {
+		sys.StartCrosstalkMonitor(obs.DefaultCrosstalkConfig())
 	}
+	res := &PagingResult{Opts: opt, Sys: sys, Set: &trace.SeriesSet{}, Log: sys.USDLog}
+	var err error
+	if res.Pagers, err = admitPagers(sys, opt, res.Set, workload.StartPager); err != nil {
+		return nil, err
+	}
+	if err := awaitInit(sys, res.Pagers, opt.InitLimit); err != nil {
+		return nil, err
+	}
+	return measureWindow(res)
+}
+
+// newPagingSystem boots the Fig. 7/8 machine.
+func newPagingSystem(opt PagingOptions) *core.System {
 	cfg := core.DefaultConfig()
 	cfg.Seed = opt.Seed
 	cfg.MemoryFrames = 2048 // 16 MB: ample, contention is per-contract
@@ -134,13 +155,16 @@ func RunPaging(opt PagingOptions) (*PagingResult, error) {
 	sys := core.New(cfg)
 	sys.USD.LaxityEnabled = opt.LaxityEnabled
 	sys.USD.FCFS = opt.FCFS
-	if opt.Telemetry {
-		sys.StartCrosstalkMonitor(obs.DefaultCrosstalkConfig())
-	}
+	return sys
+}
 
-	res := &PagingResult{Opts: opt, Sys: sys, Set: &trace.SeriesSet{}, Log: sys.USDLog}
-	for i, slice := range opt.Slices {
-		name := fmt.Sprintf("app%d-%d%%", i+1, int(100*float64(slice)/float64(opt.Period)))
+// admitPagers admits the contracted applications, then the hog when
+// opt.Hog is set, each through start (StartPager or WarmPager) with its
+// bandwidth series in set.
+func admitPagers(sys *core.System, opt PagingOptions, set *trace.SeriesSet,
+	start func(*core.System, workload.PagerConfig, *trace.Series) (*workload.Pager, error)) ([]*workload.Pager, error) {
+	var pagers []*workload.Pager
+	add := func(name string, slice time.Duration, app bool) error {
 		pc := workload.DefaultPagerConfig(name, slice)
 		pc.DiskQoS = atropos.QoS{P: opt.Period, S: slice, X: false, L: opt.Laxity}
 		pc.VirtBytes = opt.VirtBytes
@@ -148,67 +172,72 @@ func RunPaging(opt PagingOptions) (*PagingResult, error) {
 		pc.SwapBytes = opt.SwapBytes
 		pc.Write = opt.Write
 		pc.Forgetful = opt.Forgetful
-		pc.Policy = opt.Policy
-		pc.Writeback = opt.Writeback
-		pc.ClusterSize = opt.ClusterSize
 		pc.SampleEvery = opt.SampleEvery
-		pg, err := workload.StartPager(sys, pc, res.Set.New(name))
+		if app {
+			pc.Policy = opt.Policy
+			pc.Writeback = opt.Writeback
+			pc.ClusterSize = opt.ClusterSize
+		}
+		pg, err := start(sys, pc, set.New(name))
 		if err != nil {
+			return err
+		}
+		pagers = append(pagers, pg)
+		return nil
+	}
+	for i, slice := range opt.Slices {
+		name := fmt.Sprintf("app%d-%d%%", i+1, int(100*float64(slice)/float64(opt.Period)))
+		if err := add(name, slice, true); err != nil {
 			return nil, err
 		}
-		res.Pagers = append(res.Pagers, pg)
 	}
 	if opt.Hog {
 		// 5% of the period: a starved contract, so the hog's demand piles
 		// up in its own usd.queue account instead of on the victims.
-		slice := opt.Period / 20
-		pc := workload.DefaultPagerConfig("hog-5%", slice)
-		pc.DiskQoS = atropos.QoS{P: opt.Period, S: slice, X: false, L: opt.Laxity}
-		pc.VirtBytes = opt.VirtBytes
-		pc.PhysFrames = opt.PhysFrames
-		pc.SwapBytes = opt.SwapBytes
-		pc.Write = opt.Write
-		pc.Forgetful = opt.Forgetful
-		pc.SampleEvery = opt.SampleEvery
-		pg, err := workload.StartPager(sys, pc, res.Set.New("hog-5%"))
-		if err != nil {
+		if err := add("hog-5%", opt.Period/20, false); err != nil {
 			return nil, err
 		}
-		res.Pagers = append(res.Pagers, pg)
 	}
+	return pagers, nil
+}
 
-	// Initialisation: run until every application reports ready.
-	deadline := sys.Sim.Now().Add(opt.InitLimit)
+// awaitInit runs the world in one-second steps until every pager reports
+// ready, failing once limit of simulated time has passed.
+func awaitInit(sys *core.System, pagers []*workload.Pager, limit time.Duration) error {
+	deadline := sys.Sim.Now().Add(limit)
 	for {
 		ready := true
-		for _, pg := range res.Pagers {
+		for _, pg := range pagers {
 			if !pg.Initialised {
 				ready = false
 			}
 		}
 		if ready {
-			break
+			return nil
 		}
 		if sys.Sim.Now() >= deadline {
-			return nil, fmt.Errorf("experiments: initialisation exceeded %v", opt.InitLimit)
+			return fmt.Errorf("experiments: initialisation exceeded %v", limit)
 		}
 		sys.Run(time.Second)
 	}
-	res.MeasureStart = sys.Sim.Now().Duration()
+}
 
+// measureWindow runs the measured window on a world whose steady-state
+// threads are attached, then shuts it down. With Timeline the recorder and
+// the revocation episode start at the measure instant; with Telemetry and
+// SnapshotEvery, OnSnapshot fires at that period.
+func measureWindow(res *PagingResult) (*PagingResult, error) {
+	opt, sys := res.Opts, res.Sys
+	res.MeasureStart = sys.Sim.Now().Duration()
 	if opt.Timeline {
 		sys.StartRecorder(opt.Recorder)
 		if err := startRevocationEpisode(sys, opt.Measure/2); err != nil {
 			return nil, err
 		}
 	}
-
 	if opt.Telemetry && opt.SnapshotEvery > 0 && opt.OnSnapshot != nil {
 		for remaining := opt.Measure; remaining > 0; {
-			step := opt.SnapshotEvery
-			if step > remaining {
-				step = remaining
-			}
+			step := min(opt.SnapshotEvery, remaining)
 			sys.Run(step)
 			remaining -= step
 			opt.OnSnapshot(sys)
@@ -216,7 +245,6 @@ func RunPaging(opt PagingOptions) (*PagingResult, error) {
 	} else {
 		sys.Run(opt.Measure)
 	}
-
 	start := sys.Sim.Now().Add(-opt.Measure)
 	for _, pg := range res.Pagers {
 		res.MeanMbps = append(res.MeanMbps, pg.Series.MeanAfter(start))
@@ -237,8 +265,9 @@ type Fig9Options struct {
 	Measure     time.Duration
 	SampleEvery time.Duration
 	Seed        int64
-	// Timeline enables telemetry plus the time-series recorder on the
-	// contended run, exposing it as Fig9Result.ContendedSys for export.
+	// Timeline boots the contended world with telemetry on and starts its
+	// time-series recorder at the measure instant, exposing the world as
+	// Fig9Result.ContendedSys for export. It changes no result.
 	Timeline bool
 	// Recorder overrides the recorder defaults when Timeline is set.
 	Recorder obs.RecorderConfig
@@ -279,67 +308,4 @@ func (r *Fig9Result) Isolation() float64 {
 		return 0
 	}
 	return r.ContendedMbps / r.AloneMbps
-}
-
-// RunFig9 executes the experiment with explicit options.
-func RunFig9(opt Fig9Options) (*Fig9Result, error) {
-	res := &Fig9Result{Opts: opt}
-
-	runOnce := func(withPagers bool) (*trace.Series, float64, []float64, error) {
-		cfg := core.DefaultConfig()
-		cfg.Seed = opt.Seed
-		cfg.MemoryFrames = 2048
-		cfg.Telemetry = opt.Timeline && withPagers
-		sys := core.New(cfg)
-		// FS data lives on the first quarter of the disk; swap files are
-		// in the second half (DefaultConfig's partition).
-		part := usd.Extent{Start: 0, Count: sys.Disk.Geom.TotalBlocks / 4}
-		fcfg := workload.DefaultFSClientConfig("fs", part)
-		fcfg.DiskQoS = opt.FSQoS
-		fcfg.Depth = opt.Depth
-		fcfg.SampleEvery = opt.SampleEvery
-		var set trace.SeriesSet
-		fc, err := workload.StartFSClient(sys, fcfg, set.New("fs"))
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		var pagers []*workload.Pager
-		if withPagers {
-			for i, slice := range opt.PagerSlices {
-				name := fmt.Sprintf("pager%d-%d%%", i+1, int(100*float64(slice)/float64(opt.Period)))
-				pc := workload.DefaultPagerConfig(name, slice)
-				pc.DiskQoS = atropos.QoS{P: opt.Period, S: slice, X: false, L: opt.Laxity}
-				pc.SampleEvery = opt.SampleEvery
-				pg, err := workload.StartPager(sys, pc, set.New(name))
-				if err != nil {
-					return nil, 0, nil, err
-				}
-				pagers = append(pagers, pg)
-			}
-		}
-		if opt.Timeline && withPagers {
-			sys.StartRecorder(opt.Recorder)
-			res.ContendedSys = sys
-		}
-		sys.Run(opt.Measure)
-		fc.Stop()
-		var pagerMbps []float64
-		for _, pg := range pagers {
-			pagerMbps = append(pagerMbps, pg.Series.Mean())
-		}
-		mean := set.Get("fs").MeanAfter(0)
-		sys.Shutdown()
-		return set.Get("fs"), mean, pagerMbps, nil
-	}
-
-	var err error
-	res.AloneSeries, res.AloneMbps, _, err = runOnce(false)
-	if err != nil {
-		return nil, err
-	}
-	res.ContendedSeries, res.ContendedMbps, res.PagerMbps, err = runOnce(true)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"time"
 
+	"nemesis/internal/core"
 	"nemesis/internal/experiments/sweep"
 	"nemesis/internal/obs"
 )
@@ -403,78 +404,47 @@ func FigureFromWarm(world *PagingWarm, spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Spec: spec, Figure: &FigureSummary{
-		Fig:      spec.Figure,
-		MeanMbps: r.MeanMbps,
-		Ratios:   r.Ratios(),
-		MaxLax:   r.Log.MaxLax(),
-	}}, nil
+	return &Result{Spec: spec, Figure: pagingSummary(spec.Figure, r)}, nil
 }
 
-// runFigureSpec executes one figure cell, capturing trace/audit artifacts
-// when the spec asks for them. Untraced figure runs use the warm+measure
-// protocol: Figs. 7/8 measure the warmed world in place, byte-identical to
-// the fork of it nemesis-serve's warm pool measures; Fig. 9 measures on a
-// fork. Traced runs keep the legacy in-place harness, which the recorder
-// requires.
+// pagingSummary is the figure summary of a Fig. 7/8 run.
+func pagingSummary(fig int, r *PagingResult) *FigureSummary {
+	return &FigureSummary{Fig: fig, MeanMbps: r.MeanMbps, Ratios: r.Ratios(), MaxLax: r.Log.MaxLax()}
+}
+
+// runFigureSpec executes one figure cell on the warm+measure protocol,
+// capturing trace/audit artifacts when the spec asks for them; tracing
+// never changes the summary. Figs. 7/8 measure the warmed world in place,
+// byte-identical to the fork of it nemesis-serve's warm pool measures;
+// Fig. 9 measures on a fork.
 func runFigureSpec(spec Spec, out *Outcome) error {
-	sum := &FigureSummary{Fig: spec.Figure}
+	var sys *core.System
 	switch spec.Figure {
 	case 7, 8:
-		if !spec.Trace {
-			warm, err := WarmPagingSpec(spec)
-			if err != nil {
-				return err
-			}
-			res, err := FigureFromWarm(warm, spec)
-			if err != nil {
-				return err
-			}
-			out.Result.Figure = res.Figure
-			return nil
-		}
 		opt := PagingOptionsFromSpec(spec)
-		opt.Timeline = true
-		r, err := RunPaging(opt)
+		opt.Timeline = spec.Trace
+		r, err := RunWarmPaging(opt)
 		if err != nil {
 			return err
 		}
-		sum.MeanMbps = r.MeanMbps
-		sum.Ratios = r.Ratios()
-		sum.MaxLax = r.Log.MaxLax()
-		if err := captureArtifacts(out, r.Sys.WriteTimeline, r.Sys.Obs.WriteAuditJSON); err != nil {
-			return err
-		}
+		out.Result.Figure = pagingSummary(spec.Figure, r)
+		sys = r.Sys
 	case 9:
 		opt := DefaultFig9Options()
 		opt.Measure = spec.Measure.D()
 		opt.Seed = spec.Seed
-		if !spec.Trace {
-			r, err := RunFig9Forked(opt, true)
-			if err != nil {
-				return err
-			}
-			sum.AloneMbps = r.AloneMbps
-			sum.ContendedMbps = r.ContendedMbps
-			sum.Isolation = r.Isolation()
-			break
-		}
-		opt.Timeline = true
-		r, err := RunFig9(opt)
+		opt.Timeline = spec.Trace
+		r, err := RunFig9Forked(opt, true)
 		if err != nil {
 			return err
 		}
-		sum.AloneMbps = r.AloneMbps
-		sum.ContendedMbps = r.ContendedMbps
-		sum.Isolation = r.Isolation()
-		if r.ContendedSys != nil {
-			if err := captureArtifacts(out, r.ContendedSys.WriteTimeline, r.ContendedSys.Obs.WriteAuditJSON); err != nil {
-				return err
-			}
-		}
+		out.Result.Figure = &FigureSummary{Fig: 9, AloneMbps: r.AloneMbps, ContendedMbps: r.ContendedMbps, Isolation: r.Isolation()}
+		sys = r.ContendedSys
 	}
-	out.Result.Figure = sum
-	return nil
+	if !spec.Trace {
+		return nil
+	}
+	return captureArtifacts(out, sys.WriteTimeline, sys.Obs.WriteAuditJSON)
 }
 
 func captureArtifacts(out *Outcome, trace, audit func(w io.Writer) error) error {

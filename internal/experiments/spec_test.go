@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -191,6 +192,29 @@ func TestRunSpecFigureTraceArtifacts(t *testing.T) {
 	// episode, so the audit log cannot be empty.
 	if len(events) == 0 {
 		t.Error("audit artifact has no events; expected the revocation episode")
+	}
+}
+
+// TestRunSpecFig9TraceObserveOnly: tracing a Fig. 9 spec adds artifacts
+// and nothing else — the summary is the untraced spec's.
+func TestRunSpecFig9TraceObserveOnly(t *testing.T) {
+	var sums []*FigureSummary
+	for _, traced := range []bool{false, true} {
+		spec := Spec{Kind: KindFigure, Figure: 9, Measure: Duration(6 * time.Second), Trace: traced}
+		out, err := RunSpec(context.Background(), spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traced && len(out.Trace) == 0 {
+			t.Error("trace artifact empty despite Trace: true")
+		}
+		sums = append(sums, out.Result.Figure)
+	}
+	if sums[0].ContendedMbps <= 0 {
+		t.Fatalf("untraced summary %+v, want a positive contended reading", sums[0])
+	}
+	if !reflect.DeepEqual(sums[0], sums[1]) {
+		t.Errorf("summary: untraced %+v, traced %+v", sums[0], sums[1])
 	}
 }
 

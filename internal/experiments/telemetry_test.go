@@ -27,7 +27,7 @@ func TestFig7Telemetry(t *testing.T) {
 		}
 		lastTable = sb.String()
 	}
-	r, err := RunPaging(opt)
+	r, err := RunWarmPaging(opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func fig8TimelineTrace(measure time.Duration) ([]byte, []obs.AuditEvent, error) 
 	opt.Forgetful = true
 	opt.Measure = measure
 	opt.Timeline = true
-	r, err := RunPaging(opt)
+	r, err := RunWarmPaging(opt)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -10,9 +10,8 @@ import (
 
 // TimelineDump is the neutral, serialisable form of one run's timeline: the
 // recorder's sampled series, the retained fault spans with their hop chains,
-// and the QoS/revocation audit log. It is what nemesis-paging -timeline-jsonl
-// dumps (one JSON object per line) and what cmd/nemesis-timeline converts to
-// a Perfetto-loadable trace; WriteTrace renders it directly.
+// and the QoS/revocation audit log. WriteTrace renders it as a
+// Perfetto-loadable trace.
 type TimelineDump struct {
 	NowNs int64   `json:"now_ns"`
 	Times []int64 `json:"times_ns"` // shared sample instants
@@ -357,92 +356,6 @@ func (d *TimelineDump) WriteTrace(w io.Writer) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// jsonlLine is the tagged union of the JSONL dump.
-type jsonlLine struct {
-	Type string `json:"type"`
-
-	// meta
-	NowNs    int64    `json:"now_ns,omitempty"`
-	Machines []string `json:"machines,omitempty"`
-	// samples
-	TimesNs []int64 `json:"times_ns,omitempty"`
-	// track
-	*TrackDump `json:",omitempty"`
-	// span
-	Span *SpanDump `json:"span,omitempty"`
-	// audit
-	Audit *AuditEvent `json:"audit,omitempty"`
-}
-
-// WriteJSONL renders the dump as the compact line format cmd/nemesis-timeline
-// consumes: a meta line, a samples line, then one line per track, span and
-// audit event.
-func (d *TimelineDump) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(jsonlLine{Type: "meta", NowNs: d.NowNs, Machines: d.Machines}); err != nil {
-		return err
-	}
-	if err := enc.Encode(jsonlLine{Type: "samples", TimesNs: d.Times}); err != nil {
-		return err
-	}
-	for i := range d.Tracks {
-		if err := enc.Encode(jsonlLine{Type: "track", TrackDump: &d.Tracks[i]}); err != nil {
-			return err
-		}
-	}
-	for i := range d.Spans {
-		if err := enc.Encode(jsonlLine{Type: "span", Span: &d.Spans[i]}); err != nil {
-			return err
-		}
-	}
-	for i := range d.Audit {
-		if err := enc.Encode(jsonlLine{Type: "audit", Audit: &d.Audit[i]}); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ParseTimelineJSONL reads the JSONL dump format back into a TimelineDump.
-func ParseTimelineJSONL(r io.Reader) (*TimelineDump, error) {
-	d := &TimelineDump{}
-	dec := json.NewDecoder(r)
-	for lineNo := 1; ; lineNo++ {
-		var ln jsonlLine
-		if err := dec.Decode(&ln); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("timeline jsonl line %d: %w", lineNo, err)
-		}
-		switch ln.Type {
-		case "meta":
-			d.NowNs = ln.NowNs
-			d.Machines = ln.Machines
-		case "samples":
-			d.Times = ln.TimesNs
-		case "track":
-			if ln.TrackDump == nil {
-				return nil, fmt.Errorf("timeline jsonl line %d: track line without track fields", lineNo)
-			}
-			d.Tracks = append(d.Tracks, *ln.TrackDump)
-		case "span":
-			if ln.Span == nil {
-				return nil, fmt.Errorf("timeline jsonl line %d: span line without span object", lineNo)
-			}
-			d.Spans = append(d.Spans, *ln.Span)
-		case "audit":
-			if ln.Audit == nil {
-				return nil, fmt.Errorf("timeline jsonl line %d: audit line without audit object", lineNo)
-			}
-			d.Audit = append(d.Audit, *ln.Audit)
-		default:
-			return nil, fmt.Errorf("timeline jsonl line %d: unknown type %q", lineNo, ln.Type)
-		}
-	}
-	return d, nil
 }
 
 // ValidateTrace checks that r holds minimally well-formed trace-event JSON:

@@ -34,11 +34,6 @@ type Config struct {
 	// NEMESIS_SWEEP_WORKERS or GOMAXPROCS). Results are byte-identical at
 	// any value.
 	SweepWorkers int
-	// WarmWorlds bounds the LRU of resident warmed simulations that
-	// poolable specs fork instead of cold-booting (default 8, negative
-	// disables). Residency only affects latency: pooled and unpooled
-	// answers are byte-identical.
-	WarmWorlds int
 	// Logger receives structured request and job lifecycle logs, every
 	// line keyed by job ID once a request resolves to one. Nil (the
 	// default) disables logging entirely.
@@ -58,9 +53,6 @@ func (c *Config) fillDefaults() {
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 10 * time.Minute
 	}
-	if c.WarmWorlds == 0 {
-		c.WarmWorlds = 8
-	}
 }
 
 // ErrQueueFull rejects submissions beyond the advertised queue bound.
@@ -73,9 +65,9 @@ type Server struct {
 	cfg   Config
 	run   runFunc
 	cache *Cache
-	// warm is the resident warm-world pool, nil when disabled or when the
-	// server runs a stub runner (tests): the pool bypasses runFunc, so it
-	// only exists alongside the production runner.
+	// warm is the resident warm-world pool, nil when the server runs a
+	// stub runner (tests): the pool bypasses runFunc, so it only exists
+	// alongside the production runner.
 	warm *warmPool
 
 	mu     sync.Mutex
@@ -99,9 +91,7 @@ type runFunc func(ctx context.Context, spec experiments.Spec, workers int) (*exp
 // New starts a server and its worker pool.
 func New(cfg Config) *Server {
 	s := newServer(cfg, experiments.RunSpec)
-	if s.cfg.WarmWorlds > 0 {
-		s.warm = newWarmPool(s.cfg.WarmWorlds)
-	}
+	s.warm = newWarmPool(warmWorlds)
 	return s
 }
 

@@ -22,12 +22,18 @@ import (
 // residency is purely a latency optimisation, never part of result
 // identity.
 
+// warmWorlds bounds the LRU of resident warmed simulations that poolable
+// specs fork instead of cold-booting. Residency only affects latency:
+// pooled and unpooled answers are byte-identical.
+const warmWorlds = 8
+
 // warmPrefixKey content-addresses the warm prefix of a spec: the hex
 // SHA-256 of the canonical JSON of the normalized spec with Measure
-// cleared. ok is false for specs whose world the pool cannot hold —
-// only untraced figure 7/8 specs are poolable today (their warm phase is
-// by far the most expensive, and the traced variants need the legacy
-// in-place harness).
+// cleared. ok is false for specs the pool does not hold — only untraced
+// figure 7/8 specs are poolable: their warm phase is by far the most
+// expensive. Traced specs run the same warm+measure harness and could
+// fork a telemetry-on world too; they stay unpooled by choice, since they
+// are rare and each carries its own artifacts.
 func warmPrefixKey(spec experiments.Spec) (string, bool) {
 	if spec.Kind != experiments.KindFigure || spec.Trace || (spec.Figure != 7 && spec.Figure != 8) {
 		return "", false
@@ -62,9 +68,6 @@ type warmPool struct {
 }
 
 func newWarmPool(max int) *warmPool {
-	if max < 1 {
-		max = 1
-	}
 	return &warmPool{max: max, items: make(map[string]*warmEntry)}
 }
 

@@ -5,10 +5,8 @@ import (
 
 	"nemesis/internal/core"
 	"nemesis/internal/domain"
-	"nemesis/internal/mem"
 	"nemesis/internal/stretchdrv"
 	"nemesis/internal/trace"
-	"nemesis/internal/vm"
 )
 
 // WarmPager is StartPager's forkable counterpart: it creates the same
@@ -19,47 +17,11 @@ import (
 // checkpointed with core.System.Fork; Resume attaches the steady-state
 // threads afterwards, on the warmed world itself or on any fork of it.
 func WarmPager(sys *core.System, cfg PagerConfig, series *trace.Series) (*Pager, error) {
-	dom, err := sys.NewDomain(cfg.Name, cfg.CPUQoS, mem.Contract{Guaranteed: uint64(cfg.PhysFrames)})
+	pg, err := newPager(sys, cfg, series)
 	if err != nil {
 		return nil, err
 	}
-	wb := cfg.Writeback
-	if wb == "" && cfg.Forgetful {
-		wb = stretchdrv.WritebackForgetful
-	}
-	st, gdrv, err := sys.NewStretch(dom, core.PagerSpec{
-		Kind:        core.KindPaged,
-		Size:        cfg.VirtBytes,
-		SwapBytes:   cfg.SwapBytes,
-		DiskQoS:     cfg.DiskQoS,
-		Policy:      cfg.Policy,
-		Writeback:   wb,
-		ClusterSize: cfg.ClusterSize,
-		Backing:     cfg.Backing,
-		Remote:      cfg.Remote,
-		Tiered:      cfg.Tiered,
-	})
-	if err != nil {
-		return nil, err
-	}
-	pg := &Pager{Cfg: cfg, Dom: dom, Stretch: st, Drv: gdrv.(*stretchdrv.Paged), Series: series}
-
-	dom.Go("warm", func(t *domain.Thread) {
-		if err := core.PreallocateFrames(t, cfg.PhysFrames); err != nil {
-			return
-		}
-		if !cfg.SkipInit {
-			n := int(cfg.VirtBytes)
-			if err := t.Touch(st.Base(), n, vm.AccessRead); err != nil {
-				return
-			}
-			if err := t.Touch(st.Base(), n, vm.AccessWrite); err != nil {
-				return
-			}
-		}
-		pg.Initialised = true
-		pg.lastAt = t.Now()
-	})
+	pg.Dom.Go("warm", func(t *domain.Thread) { pg.warmUp(t) })
 	return pg, nil
 }
 
@@ -85,28 +47,6 @@ func (pg *Pager) Remap(snap *core.Snapshot) (*Pager, error) {
 // frames the warm thread preallocated still belong to the domain, so the
 // loop recycles them rather than allocating again.
 func (pg *Pager) Resume() {
-	cfg, st := pg.Cfg, pg.Stretch
-	acc := vm.AccessRead
-	if cfg.Write {
-		acc = vm.AccessWrite
-	}
-	n := int(cfg.VirtBytes)
-	pg.Dom.Go("main", func(t *domain.Thread) {
-		pg.lastBytes = pg.Bytes
-		pg.lastAt = t.Now()
-		for {
-			for off := 0; off < n; off += vm.PageSize {
-				if err := t.Touch(st.Base()+vm.VA(off), vm.PageSize, acc); err != nil {
-					return
-				}
-				pg.Bytes += int64(vm.PageSize)
-			}
-		}
-	})
-	pg.Dom.Go("watch", func(t *domain.Thread) {
-		for {
-			t.Sleep(cfg.SampleEvery)
-			pg.sample(t.Now())
-		}
-	})
+	pg.Dom.Go("main", pg.steady)
+	pg.Dom.Go("watch", pg.watch)
 }

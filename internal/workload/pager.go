@@ -101,6 +101,22 @@ type Pager struct {
 // StartPager creates the domain, stretch, driver and threads for cfg.
 // The returned Pager's threads run until the simulation stops.
 func StartPager(sys *core.System, cfg PagerConfig, series *trace.Series) (*Pager, error) {
+	pg, err := newPager(sys, cfg, series)
+	if err != nil {
+		return nil, err
+	}
+	pg.Dom.Go("main", func(t *domain.Thread) {
+		if pg.warmUp(t) {
+			pg.steady(t)
+		}
+	})
+	pg.Dom.Go("watch", pg.watch)
+	return pg, nil
+}
+
+// newPager creates the application's domain, stretch and paged driver;
+// it starts no threads.
+func newPager(sys *core.System, cfg PagerConfig, series *trace.Series) (*Pager, error) {
 	dom, err := sys.NewDomain(cfg.Name, cfg.CPUQoS, mem.Contract{Guaranteed: uint64(cfg.PhysFrames)})
 	if err != nil {
 		return nil, err
@@ -124,50 +140,57 @@ func StartPager(sys *core.System, cfg PagerConfig, series *trace.Series) (*Pager
 	if err != nil {
 		return nil, err
 	}
-	drv := gdrv.(*stretchdrv.Paged)
-	pg := &Pager{Cfg: cfg, Dom: dom, Stretch: st, Drv: drv, Series: series}
+	return &Pager{Cfg: cfg, Dom: dom, Stretch: st, Drv: gdrv.(*stretchdrv.Paged), Series: series}, nil
+}
 
-	dom.Go("main", func(t *domain.Thread) {
-		if err := core.PreallocateFrames(t, cfg.PhysFrames); err != nil {
-			return
+// warmUp preallocates the guaranteed frames and runs the initialisation
+// passes: sequentially read every byte (every page demand-zeroed), then
+// write every byte (dirtying them all). It reports whether the pager
+// initialised.
+func (pg *Pager) warmUp(t *domain.Thread) bool {
+	if err := core.PreallocateFrames(t, pg.Cfg.PhysFrames); err != nil {
+		return false
+	}
+	if !pg.Cfg.SkipInit {
+		base, n := pg.Stretch.Base(), int(pg.Cfg.VirtBytes)
+		if err := t.Touch(base, n, vm.AccessRead); err != nil {
+			return false
 		}
-		acc := vm.AccessRead
-		if cfg.Write {
-			acc = vm.AccessWrite
+		if err := t.Touch(base, n, vm.AccessWrite); err != nil {
+			return false
 		}
-		n := int(cfg.VirtBytes)
-		if !cfg.SkipInit {
-			// Initialisation: sequentially read every byte (every page
-			// demand-zeroed), then write every byte (dirtying them all).
-			if err := t.Touch(st.Base(), n, vm.AccessRead); err != nil {
+	}
+	pg.Initialised = true
+	return true
+}
+
+// steady is the main loop: sequentially access every byte from the start
+// of the stretch, incrementing the counter, looping around at the top.
+// Bandwidth samples count from the loop's first instant.
+func (pg *Pager) steady(t *domain.Thread) {
+	acc := vm.AccessRead
+	if pg.Cfg.Write {
+		acc = vm.AccessWrite
+	}
+	base, n := pg.Stretch.Base(), int(pg.Cfg.VirtBytes)
+	pg.lastBytes = pg.Bytes
+	pg.lastAt = t.Now()
+	for {
+		for off := 0; off < n; off += vm.PageSize {
+			if err := t.Touch(base+vm.VA(off), vm.PageSize, acc); err != nil {
 				return
 			}
-			if err := t.Touch(st.Base(), n, vm.AccessWrite); err != nil {
-				return
-			}
+			pg.Bytes += int64(vm.PageSize)
 		}
-		pg.Initialised = true
-		pg.lastAt = t.Now()
-		// Main loop: sequentially access every byte from the start of the
-		// stretch, incrementing the counter, looping around at the top.
-		for {
-			for off := 0; off < n; off += vm.PageSize {
-				if err := t.Touch(st.Base()+vm.VA(off), vm.PageSize, acc); err != nil {
-					return
-				}
-				pg.Bytes += int64(vm.PageSize)
-			}
-		}
-	})
+	}
+}
 
-	// Watch thread: wakes every SampleEvery and logs bytes processed.
-	dom.Go("watch", func(t *domain.Thread) {
-		for {
-			t.Sleep(cfg.SampleEvery)
-			pg.sample(t.Now())
-		}
-	})
-	return pg, nil
+// watch wakes every SampleEvery and logs bytes processed.
+func (pg *Pager) watch(t *domain.Thread) {
+	for {
+		t.Sleep(pg.Cfg.SampleEvery)
+		pg.sample(t.Now())
+	}
 }
 
 // sample records the sustained bandwidth since the previous sample.
