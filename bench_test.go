@@ -73,11 +73,13 @@ func benchPagingOpts() experiments.PagingOptions {
 	return opt
 }
 
+// BenchmarkFig7PagingIn and BenchmarkFig8PagingOut time the warm→measure
+// harness that the CLI, the suite and nemesis-serve all run.
 func BenchmarkFig7PagingIn(b *testing.B) {
 	b.ReportAllocs()
 	var last *experiments.PagingResult
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunPaging(benchPagingOpts())
+		r, err := experiments.RunWarmPaging(benchPagingOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,7 +100,7 @@ func BenchmarkFig8PagingOut(b *testing.B) {
 		opt := benchPagingOpts()
 		opt.Write = true
 		opt.Forgetful = true
-		r, err := experiments.RunPaging(opt)
+		r, err := experiments.RunWarmPaging(opt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -220,7 +220,7 @@ func main() {
 		}
 		fmt.Printf("\n# consecutive ratios (want ~2.0 each for 10/20/40%% contracts): %v\n", fmtRatios(r.Ratios()))
 		fmt.Printf("# max single lax charge per client (s) — must stay <= 0.010:\n")
-		for _, e := range sortedEntries(r.Log.MaxLax()) {
+		for _, e := range sortedEntries(r.MaxLax()) {
 			fmt.Printf("#   %s\t%.4f\n", e.k, e.v)
 		}
 		if *metrics {

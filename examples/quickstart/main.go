@@ -1,7 +1,8 @@
 // Quickstart: build a simulated Nemesis machine, create one self-paging
 // domain with a tiny physical allocation and a larger virtual stretch,
 // write and read back data that must survive round trips through the
-// User-Safe Backing Store, and print what happened.
+// User-Safe Backing Store, and print what happened. It exits non-zero if
+// any byte comes back corrupt, or if the check never finished.
 package main
 
 import (
@@ -43,6 +44,7 @@ func main() {
 		log.Fatal(err)
 	}
 
+	bad, verified := 0, false
 	dom.Go("main", func(t *domain.Thread) {
 		// Grab the guaranteed frames up front, as time-sensitive Nemesis
 		// applications do, so no later allocation can block.
@@ -64,7 +66,6 @@ func main() {
 
 		// Read everything back and verify: every byte has been through
 		// the frame store, and most pages through the disk.
-		bad := 0
 		for pg := 0; pg < st.Pages(); pg++ {
 			if err := t.ReadAt(st.PageBase(pg), page); err != nil {
 				log.Fatal(err)
@@ -76,6 +77,7 @@ func main() {
 			}
 		}
 		fmt.Printf("verified %d pages, %d corrupt bytes\n", st.Pages(), bad)
+		verified = true
 	})
 
 	sys.Run(2 * time.Minute)
@@ -89,5 +91,11 @@ func main() {
 		dom.MemClient().Allocated(), dom.MemClient().Contract().Guaranteed, drv.SwapFreeBloks())
 	if ds, ok := sys.USD.Stats(drv.Swap().Name()); ok {
 		fmt.Printf("disk: %d transactions, %v charged (%v of it lax)\n", ds.Txns, ds.Charged, ds.LaxCharged)
+	}
+	switch {
+	case !verified:
+		log.Fatal("quickstart: the read-back check did not finish")
+	case bad > 0:
+		log.Fatalf("quickstart: %d corrupt bytes", bad)
 	}
 }

@@ -193,11 +193,13 @@ func (ep *ExternalPager) handle(t *domain.Thread, f *vm.Fault) bool {
 				victim.blok = b
 			}
 			if ep.wreq == nil {
-				ep.wreq = &usd.Request{Op: disk.Write, Count: int(ep.blok.BlokBlocks()), Data: make([]byte, vm.PageSize)}
+				ep.wreq = &usd.Request{Op: disk.Write, Count: int(ep.blok.BlokBlocks())}
 			}
 			r := ep.wreq
 			r.Block, r.Err = ep.base+ep.blok.BlockOffset(victim.blok), nil
-			copy(r.Data, sys.Store.Frame(vpfn))
+			// The victim is unmapped and Do is synchronous, so the write
+			// can carry the frame's own page value (nil for zeros).
+			r.Data = sys.Store.Page(vpfn)
 			if _, err := ep.ch.Do(t.Proc(), r); err != nil {
 				return false
 			}
@@ -218,7 +220,11 @@ func (ep *ExternalPager) handle(t *domain.Thread, f *vm.Fault) bool {
 		if err != nil {
 			return false
 		}
-		copy(sys.Store.Frame(pfn), done.Data)
+		if done.Zero {
+			sys.Store.Zero(pfn)
+		} else {
+			copy(sys.Store.Frame(pfn), done.Data)
+		}
 		ep.PageIns++
 	} else {
 		sys.Store.Zero(pfn)

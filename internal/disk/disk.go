@@ -8,7 +8,8 @@
 // position of the platter at the simulated instant the seek completes, and a
 // media-rate transfer. A segmented read-ahead cache serves sequential reads
 // at interface speed. Blocks carry real data so paging correctness is
-// end-to-end testable.
+// end-to-end testable; blocks that hold only zeros are implicit and cost no
+// memory.
 package disk
 
 import (
@@ -165,20 +166,14 @@ type Stats struct {
 type Disk struct {
 	Geom Geometry
 	sim  *sim.Simulator
-	// data is a two-level block store: chunk index -> chunkBlocks*BlockSize
-	// bytes, allocated on first write. A nil chunk reads as zeros. Indexing
-	// is two array derefs instead of a per-block map hash, and contiguous
-	// chunks let multi-block transfers copy in one run.
-	data [][]byte
-	// shared marks chunks frozen by a Fork: both sides of a fork see the
-	// same backing array until one of them writes, at which point the writer
-	// copies the chunk privately. nil until the first Fork, so an unforked
-	// drive pays one nil check per write.
-	shared []bool
-	segs   []segment
-	tick   uint64
-	head   int64 // current cylinder
-	stats  Stats
+	// dir is the sparse block store: a directory of chunk groups, each
+	// group allocated when the first write lands in it. A nil group, and a
+	// chunk with nil bytes, read as zeros (see chunk).
+	dir   []*chunkGroup
+	segs  []segment
+	tick  uint64
+	head  int64 // current cylinder
+	stats Stats
 
 	// Telemetry handles, nil unless SetObs was called.
 	hRead, hWrite *obs.Histogram
@@ -197,15 +192,60 @@ func (d *Disk) SetObs(r *obs.Registry) {
 }
 
 // chunkShift sizes the block-store chunks: 512 blocks (256 KB) each.
+// groupShift sizes the directory's chunk groups: 64 chunks (16 MB of disk)
+// per group.
 const (
 	chunkShift  = 9
 	chunkBlocks = 1 << chunkShift
+	groupShift  = 6
+	groupChunks = 1 << groupShift
 )
+
+// chunk is one slot of the block store. A page that holds only zeros is
+// implicit: writing zeros allocates nothing, and reading them moves no bytes.
+type chunk struct {
+	// b holds the chunk's bytes, or is nil while every block of the chunk
+	// reads as zero.
+	b []byte
+	// written records that a write has touched the chunk, zeros included.
+	// Fork accounting counts written chunks, so a chunk written with zeros
+	// counts exactly like one that holds bytes.
+	written bool
+	// shared marks a chunk frozen by a Fork: both sides of the fork see the
+	// same b until one of them writes, and the writer copies it privately
+	// first.
+	shared bool
+}
+
+// chunkGroup is one directory entry's worth of chunks. Groups keep a
+// drive's index proportional to what was written, not to its capacity.
+type chunkGroup [groupChunks]chunk
 
 // New returns a drive with the given geometry attached to s.
 func New(s *sim.Simulator, g Geometry) *Disk {
 	nChunks := (g.TotalBlocks + chunkBlocks - 1) >> chunkShift
-	return &Disk{Geom: g, sim: s, data: make([][]byte, nChunks)}
+	nGroups := (nChunks + groupChunks - 1) >> groupShift
+	return &Disk{Geom: g, sim: s, dir: make([]*chunkGroup, nGroups)}
+}
+
+// chunkAt returns the slot of chunk idx, or nil if its group was never
+// written.
+func (d *Disk) chunkAt(idx int64) *chunk {
+	g := d.dir[idx>>groupShift]
+	if g == nil {
+		return nil
+	}
+	return &g[idx&(groupChunks-1)]
+}
+
+// writableChunk returns the slot of chunk idx, allocating its group.
+func (d *Disk) writableChunk(idx int64) *chunk {
+	g := d.dir[idx>>groupShift]
+	if g == nil {
+		g = new(chunkGroup)
+		d.dir[idx>>groupShift] = g
+	}
+	return &g[idx&(groupChunks-1)]
 }
 
 // Stats returns a copy of the accumulated counters.
@@ -334,6 +374,55 @@ func (d *Disk) ServiceTime(now sim.Time, op Op, block int64, count int) time.Dur
 	return total
 }
 
+// Read charges p the simulated service time of reading count blocks
+// starting at block and returns them as a page value: nil when every block
+// in the range reads as zero (buf is then left untouched), otherwise buf
+// filled with the blocks. A nil buf is allocated only when the range holds
+// data; a non-nil buf must be count×BlockSize long.
+func (d *Disk) Read(p *sim.Proc, block int64, count int, buf []byte) ([]byte, error) {
+	if err := d.check(block, count); err != nil {
+		return nil, err
+	}
+	if buf != nil && len(buf) != count*BlockSize {
+		return nil, ErrShortData
+	}
+	dur := d.ServiceTime(d.sim.Now(), Read, block, count)
+	d.stats.Reads++
+	d.stats.BlocksRead += int64(count)
+	d.hRead.Observe(dur)
+	p.Sleep(dur)
+	if d.zeroRange(block, count) {
+		return nil, nil
+	}
+	if buf == nil {
+		buf = make([]byte, count*BlockSize)
+	}
+	for i := 0; i < count; {
+		b := block + int64(i)
+		off := int(b & (chunkBlocks - 1))
+		run := min(chunkBlocks-off, count-i)
+		dst := buf[i*BlockSize : (i+run)*BlockSize]
+		if c := d.chunkAt(b >> chunkShift); c != nil && c.b != nil {
+			copy(dst, c.b[off*BlockSize:])
+		} else {
+			clear(dst)
+		}
+		i += run
+	}
+	return buf, nil
+}
+
+// zeroRange reports whether every block of [block, block+count) reads as
+// zero without holding bytes.
+func (d *Disk) zeroRange(block int64, count int) bool {
+	for idx, last := block>>chunkShift, (block+int64(count)-1)>>chunkShift; idx <= last; idx++ {
+		if c := d.chunkAt(idx); c != nil && c.b != nil {
+			return false
+		}
+	}
+	return true
+}
+
 // ReadAt copies count blocks starting at block into buf (which must be
 // count×BlockSize long), charging p the simulated service time.
 func (d *Disk) ReadAt(p *sim.Proc, block int64, count int, buf []byte) error {
@@ -343,36 +432,20 @@ func (d *Disk) ReadAt(p *sim.Proc, block int64, count int, buf []byte) error {
 	if len(buf) != count*BlockSize {
 		return ErrShortData
 	}
-	dur := d.ServiceTime(d.sim.Now(), Read, block, count)
-	d.stats.Reads++
-	d.stats.BlocksRead += int64(count)
-	d.hRead.Observe(dur)
-	p.Sleep(dur)
-	for i := 0; i < count; {
-		b := block + int64(i)
-		off := int(b & (chunkBlocks - 1))
-		run := chunkBlocks - off
-		if rem := count - i; run > rem {
-			run = rem
-		}
-		dst := buf[i*BlockSize : (i+run)*BlockSize]
-		if c := d.data[b>>chunkShift]; c != nil {
-			copy(dst, c[off*BlockSize:])
-		} else {
-			clear(dst)
-		}
-		i += run
+	data, err := d.Read(p, block, count, buf)
+	if err == nil && data == nil {
+		clear(buf)
 	}
-	return nil
+	return err
 }
 
 // WriteAt stores count blocks from buf at block, charging p the simulated
-// service time.
+// service time. A nil buf writes zeros, which allocate no chunk bytes.
 func (d *Disk) WriteAt(p *sim.Proc, block int64, count int, buf []byte) error {
 	if err := d.check(block, count); err != nil {
 		return err
 	}
-	if len(buf) != count*BlockSize {
+	if buf != nil && len(buf) != count*BlockSize {
 		return ErrShortData
 	}
 	dur := d.ServiceTime(d.sim.Now(), Write, block, count)
@@ -383,24 +456,28 @@ func (d *Disk) WriteAt(p *sim.Proc, block int64, count int, buf []byte) error {
 	for i := 0; i < count; {
 		b := block + int64(i)
 		off := int(b & (chunkBlocks - 1))
-		run := chunkBlocks - off
-		if rem := count - i; run > rem {
-			run = rem
+		run := min(chunkBlocks-off, count-i)
+		c := d.writableChunk(b >> chunkShift)
+		switch {
+		case buf != nil:
+			if c.b == nil {
+				c.b = make([]byte, chunkBlocks*BlockSize)
+			} else if c.shared {
+				c.b = append([]byte(nil), c.b...)
+			}
+			copy(c.b[off*BlockSize:], buf[i*BlockSize:(i+run)*BlockSize])
+		case c.b == nil:
+			// Zeros over zeros: nothing to store.
+		case run == chunkBlocks:
+			c.b = nil
+		default:
+			if c.shared {
+				c.b = append([]byte(nil), c.b...)
+			}
+			clear(c.b[off*BlockSize : (off+run)*BlockSize])
 		}
-		idx := b >> chunkShift
-		c := d.data[idx]
-		if c == nil {
-			c = make([]byte, chunkBlocks*BlockSize)
-			d.data[idx] = c
-		} else if d.shared != nil && d.shared[idx] {
-			// Copy-on-write: this chunk is frozen by a fork.
-			nc := make([]byte, chunkBlocks*BlockSize)
-			copy(nc, c)
-			d.data[idx] = nc
-			d.shared[idx] = false
-			c = nc
-		}
-		copy(c[off*BlockSize:], buf[i*BlockSize:(i+run)*BlockSize])
+		c.written = true
+		c.shared = false
 		i += run
 	}
 	return nil
@@ -410,8 +487,8 @@ func (d *Disk) WriteAt(p *sim.Proc, block int64, count int, buf []byte) error {
 // time. Unwritten blocks read as zeros. Intended for tests and tools.
 func (d *Disk) PeekBlock(block int64) []byte {
 	out := make([]byte, BlockSize)
-	if c := d.data[block>>chunkShift]; c != nil {
-		copy(out, c[(block&(chunkBlocks-1))*BlockSize:])
+	if c := d.chunkAt(block >> chunkShift); c != nil && c.b != nil {
+		copy(out, c.b[(block&(chunkBlocks-1))*BlockSize:])
 	}
 	return out
 }

@@ -125,8 +125,11 @@ func (t *Thread) ReadAt(va vm.VA, buf []byte) error {
 		if chunk > len(buf) {
 			chunk = len(buf)
 		}
-		frame := t.dom.env.Store.Frame(pte.PFN)
-		copy(buf[:chunk], frame[off:off+chunk])
+		if page := t.dom.env.Store.Page(pte.PFN); page != nil {
+			copy(buf[:chunk], page[off:off+chunk])
+		} else {
+			clear(buf[:chunk])
+		}
 		t.Compute(time.Duration(chunk) * t.dom.env.Costs.ComputePerByte)
 		t.dom.stats.BytesTouched += int64(chunk)
 		t.dom.markActive()

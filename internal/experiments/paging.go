@@ -124,6 +124,22 @@ func (r *PagingResult) Ratios() []float64 {
 	return out
 }
 
+// MaxLax returns the longest single lax charge of each application's swap
+// channel, in seconds: the paper's laxity invariant, checked for the
+// figure's contracted applications only. Other USD clients — the traced
+// run's revocation episode — are left out.
+func (r *PagingResult) MaxLax() map[string]float64 {
+	all := r.Log.MaxLax()
+	out := make(map[string]float64, len(r.Pagers))
+	for _, pg := range r.Pagers {
+		name := pg.Drv.Swap().Name()
+		if v, ok := all[name]; ok {
+			out[name] = v
+		}
+	}
+	return out
+}
+
 // RunPaging executes a Fig. 7/8-style experiment on the legacy harness:
 // each application's thread initialises and rolls straight into its
 // steady-state loop, so the world never quiesces and cannot fork. Only the

@@ -226,7 +226,8 @@ type FigureSummary struct {
 	// Figs. 7/8: per-application sustained bandwidth and consecutive ratios.
 	MeanMbps []float64 `json:"mean_mbps,omitempty"`
 	Ratios   []float64 `json:"ratios,omitempty"`
-	// MaxLax is the largest single lax charge per client (seconds).
+	// MaxLax is the largest single lax charge per contracted application's
+	// swap channel (seconds).
 	MaxLax map[string]float64 `json:"max_lax_s,omitempty"`
 	// Fig. 9: the FS client's isolation under paging contention.
 	AloneMbps     float64 `json:"alone_mbps,omitempty"`
@@ -409,7 +410,7 @@ func FigureFromWarm(world *PagingWarm, spec Spec) (*Result, error) {
 
 // pagingSummary is the figure summary of a Fig. 7/8 run.
 func pagingSummary(fig int, r *PagingResult) *FigureSummary {
-	return &FigureSummary{Fig: fig, MeanMbps: r.MeanMbps, Ratios: r.Ratios(), MaxLax: r.Log.MaxLax()}
+	return &FigureSummary{Fig: fig, MeanMbps: r.MeanMbps, Ratios: r.Ratios(), MaxLax: r.MaxLax()}
 }
 
 // runFigureSpec executes one figure cell on the warm+measure protocol,

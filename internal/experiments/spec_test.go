@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -223,5 +224,25 @@ func TestRunSpecCancelled(t *testing.T) {
 	cancel()
 	if _, err := RunSpec(ctx, Spec{Kind: KindSuite}, 2); err == nil {
 		t.Error("pre-cancelled RunSpec returned no error")
+	}
+}
+
+// TestTracedFigureMaxLaxListsOnlyApplications: the traced Fig. 7/8 run adds
+// a revocation episode with its own swap channel, but the figure's max-lax
+// summary covers the three contracted applications alone.
+func TestTracedFigureMaxLaxListsOnlyApplications(t *testing.T) {
+	spec := Spec{Kind: KindFigure, Figure: 7, Measure: Duration(5 * time.Second), Trace: true}
+	out, err := RunSpec(context.Background(), spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for name := range out.Result.Figure.MaxLax {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	want := []string{"app1-10%-swap-1", "app2-20%-swap-2", "app3-40%-swap-3"}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("max-lax clients %v, want %v", names, want)
 	}
 }

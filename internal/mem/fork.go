@@ -7,19 +7,24 @@ import (
 	"nemesis/internal/sim"
 )
 
-// Fork returns a deep copy of the frame store. Touched frames are copied
-// outright — frame contents are live mutable memory on both sides of a fork,
-// so unlike disk chunks they cannot be shared copy-on-write without putting
-// a check on every byte access. bytes reports how much was copied.
+// Fork returns a deep copy of the frame store. Frames holding bytes are
+// copied outright — frame contents are live mutable memory on both sides of
+// a fork, so unlike disk chunks they cannot be shared copy-on-write without
+// putting a check on every byte access. bytes reports the logical copy: a
+// page for every touched frame, zero frames included, though those copy
+// nothing.
 func (fs *FrameStore) Fork() (nfs *FrameStore, bytes int64) {
 	nfs = &FrameStore{nframes: fs.nframes, data: make([][]byte, fs.nframes)}
 	for i, f := range fs.data {
-		if f != nil {
-			nf := make([]byte, PageSize)
-			copy(nf, f)
-			nfs.data[i] = nf
-			bytes += PageSize
+		switch {
+		case f == nil:
+			continue
+		case len(f) == 0:
+			nfs.data[i] = zeroFrame
+		default:
+			nfs.data[i] = append([]byte(nil), f...)
 		}
+		bytes += PageSize
 	}
 	return nfs, bytes
 }

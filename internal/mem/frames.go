@@ -45,11 +45,18 @@ var (
 var ErrQuota = ErrContractExhausted
 
 // FrameStore is the simulated physical memory: nframes frames of PageSize
-// bytes, allocated lazily so large memories cost only what is touched.
+// bytes, allocated lazily so large memories cost only what is touched. A
+// frame that holds only zeros is implicit: it keeps no bytes until written.
 type FrameStore struct {
 	nframes int
-	data    [][]byte
+	// data holds each frame's state: nil for a frame never touched, an
+	// empty slice for a touched frame that reads as zero, PageSize bytes
+	// once something wrote to it. Fork counts every touched frame.
+	data [][]byte
 }
+
+// zeroFrame marks a touched frame that reads as zero.
+var zeroFrame = []byte{}
 
 // NewFrameStore creates a store of nframes frames.
 func NewFrameStore(nframes int) *FrameStore {
@@ -59,21 +66,56 @@ func NewFrameStore(nframes int) *FrameStore {
 // NFrames returns the number of frames of main memory.
 func (fs *FrameStore) NFrames() int { return fs.nframes }
 
-// Frame returns the backing bytes of pfn, allocating them on first touch.
-func (fs *FrameStore) Frame(pfn PFN) []byte {
+func (fs *FrameStore) check(pfn PFN) {
 	if int(pfn) >= fs.nframes {
 		panic(fmt.Sprintf("mem: frame %d out of range (%d frames)", pfn, fs.nframes))
 	}
-	if fs.data[pfn] == nil {
+}
+
+// Frame returns the backing bytes of pfn for writing, allocating them on
+// first use. Readers that do not write should use Page, which allocates
+// nothing for a zero frame.
+func (fs *FrameStore) Frame(pfn PFN) []byte {
+	fs.check(pfn)
+	if len(fs.data[pfn]) == 0 {
 		fs.data[pfn] = make([]byte, PageSize)
 	}
 	return fs.data[pfn]
 }
 
-// Zero clears a frame (hardware-assist page zeroing).
-func (fs *FrameStore) Zero(pfn PFN) {
-	f := fs.Frame(pfn)
-	for i := range f {
-		f[i] = 0
+// Page returns pfn's contents as a page value: nil when the frame reads as
+// zero, otherwise its bytes, which the caller must not modify.
+func (fs *FrameStore) Page(pfn PFN) []byte {
+	fs.check(pfn)
+	if len(fs.data[pfn]) == 0 {
+		return nil
 	}
+	return fs.data[pfn]
+}
+
+// Zero clears a frame (hardware-assist page zeroing). The frame gives up
+// its bytes; it reads as zero until next written.
+func (fs *FrameStore) Zero(pfn PFN) {
+	fs.check(pfn)
+	fs.data[pfn] = zeroFrame
+}
+
+// SetPage loads a page value into pfn: zeros for a nil page, otherwise a
+// copy of page.
+func (fs *FrameStore) SetPage(pfn PFN, page []byte) {
+	if page == nil {
+		fs.Zero(pfn)
+		return
+	}
+	copy(fs.Frame(pfn), page)
+}
+
+// StoredBytes reports how many bytes of frame contents the store holds;
+// frames that read as zero hold none.
+func (fs *FrameStore) StoredBytes() int64 {
+	var n int64
+	for _, f := range fs.data {
+		n += int64(len(f))
+	}
+	return n
 }

@@ -258,21 +258,28 @@ func (r *RemoteBacking) do(p *sim.Proc, calls []*call) error {
 	}
 }
 
-// ReadPage implements stretchdrv.Backing: one read RPC with retries. The
-// fault span gains hops "net.out" (request wire + server queue, including
-// any retries), "remote.store" (the server's disk service) and "net.back"
-// (the reply wire) — net RTT versus remote disk service, exactly.
-func (r *RemoteBacking) ReadPage(p *sim.Proc, va vm.VA, buf []byte, sp *obs.Span) error {
+// LoadPage implements stretchdrv.Backing: one read RPC with retries. The
+// reply's page value is handed over as it is (buf stays untouched): nil for
+// a page of zeros, otherwise the reply's own buffer, which nothing else
+// reads once the call completes. The fault span gains hops "net.out"
+// (request wire + server queue, including any retries), "remote.store"
+// (the server's disk service) and "net.back" (the reply wire) — net RTT
+// versus remote disk service, exactly.
+func (r *RemoteBacking) LoadPage(p *sim.Proc, va vm.VA, buf []byte, sp *obs.Span) ([]byte, error) {
 	sp.BeginHop("net.out")
 	c := &call{req: &request{Client: r.client, Op: opRead, Flow: sp.EnsureFlow(), VPNs: []vm.VPN{vm.PageOf(va)}}}
 	if err := r.do(p, []*call{c}); err != nil {
-		return err
+		return nil, err
 	}
-	copy(buf, c.rep.Data)
 	sp.SplitHop(c.rep.ServiceStart, "remote.store")
 	sp.SplitHop(c.rep.ServiceEnd, "net.back")
 	r.Stats.PagesRead++
-	return nil
+	return c.rep.Page, nil
+}
+
+// ReadPage fills buf with va's page (see stretchdrv.ReadPage).
+func (r *RemoteBacking) ReadPage(p *sim.Proc, va vm.VA, buf []byte, sp *obs.Span) error {
+	return stretchdrv.ReadPage(r, p, va, buf, sp)
 }
 
 // WritePages implements stretchdrv.Backing: the batch is merged into
@@ -288,10 +295,17 @@ func (r *RemoteBacking) WritePages(p *sim.Proc, pages []stretchdrv.DirtyPage, sp
 		if end > len(pages) {
 			end = len(pages)
 		}
-		req := &request{Client: r.client, Op: opWrite, Flow: flow}
-		for _, pg := range pages[at:end] {
-			req.VPNs = append(req.VPNs, vm.PageOf(pg.VA))
-			req.Data = append(req.Data, pg.Data...)
+		batch := pages[at:end]
+		req := &request{Client: r.client, Op: opWrite, Flow: flow, VPNs: make([]vm.VPN, len(batch))}
+		for k, pg := range batch {
+			req.VPNs[k] = vm.PageOf(pg.VA)
+			if pg.Data == nil {
+				continue // a zero page travels as a flag
+			}
+			if req.Pages == nil {
+				req.Pages = make([][]byte, len(batch))
+			}
+			req.Pages[k] = append([]byte(nil), pg.Data...)
 		}
 		calls = append(calls, &call{req: req})
 	}

@@ -28,9 +28,8 @@ const (
 )
 
 // request is one page-service RPC travelling client -> server. Reads carry a
-// single VPN; writes carry a batch of VPNs with their page images
-// concatenated in Data (the "batched multi-page write merged into a single
-// RPC" of the design).
+// single VPN; writes carry a batch of VPNs with their page images (the
+// "batched multi-page write merged into a single RPC" of the design).
 type request struct {
 	ID     uint64
 	Client string
@@ -40,7 +39,12 @@ type request struct {
 	// service span, so a merged cluster trace can link the two sides.
 	Flow uint64
 	VPNs []vm.VPN
-	Data []byte
+	// Pages holds a write's page values, one per VPN: nil for a page of
+	// zeros, which travels as a flag rather than as bytes. Pages itself
+	// stays nil while every page in the batch is zero. A non-nil page is
+	// the request's own copy: a retransmit or a late duplicate can reach
+	// the server after the client has recycled the page it was cleaning.
+	Pages [][]byte
 
 	// ssp is the server-side service span, attached by Server.handle when
 	// the server has a registry. It never crosses the wire: each delivered
@@ -56,9 +60,12 @@ type reply struct {
 	ID     uint64
 	Client string
 	Flow   uint64 // echoed from the request
+	Op     op     // echoed from the request
 	Err    string // "" = ok; definitive server-side failure otherwise
-	Data   []byte // read payload
-	Txns   int    // disk transactions the server merged the batch into
+	// Page is a read's payload as a page value: nil for a page of zeros.
+	// The client hands a non-nil page on to its caller as it is.
+	Page []byte
+	Txns int // disk transactions the server merged the batch into
 
 	ServiceStart, ServiceEnd sim.Time
 }
@@ -66,11 +73,33 @@ type reply struct {
 // rpcHeaderBytes approximates the on-wire framing overhead per message.
 const rpcHeaderBytes = 64
 
-// wireSize returns the simulated frame size of a request.
-func (r *request) wireSize() int { return rpcHeaderBytes + 8*len(r.VPNs) + len(r.Data) }
+// page returns the value of a write's i'th page.
+func (r *request) page(i int) []byte {
+	if r.Pages == nil {
+		return nil
+	}
+	return r.Pages[i]
+}
 
-// wireSize returns the simulated frame size of a reply.
-func (r *reply) wireSize() int { return rpcHeaderBytes + len(r.Data) }
+// wireSize returns the simulated frame size of a request. A write frame
+// counts every page at full size, zeros included: the zero flag saves host
+// memory, not simulated wire time.
+func (r *request) wireSize() int {
+	n := rpcHeaderBytes + 8*len(r.VPNs)
+	if r.Op == opWrite {
+		n += len(r.VPNs) * int(vm.PageSize)
+	}
+	return n
+}
+
+// wireSize returns the simulated frame size of a reply: a successful read
+// carries one full page, zero or not.
+func (r *reply) wireSize() int {
+	if r.Op == opRead && r.Err == "" {
+		return rpcHeaderBytes + int(vm.PageSize)
+	}
+	return rpcHeaderBytes
+}
 
 // err converts a reply's error string into a wrapped Go error.
 func (r *reply) err() error {

@@ -192,7 +192,7 @@ func (srv *Server) pages(client string) map[vm.VPN]int64 {
 
 // service runs one RPC against the store, blocking p on the server's USD.
 func (srv *Server) service(p *sim.Proc, req *request) *reply {
-	rep := &reply{ID: req.ID, Client: req.Client, Flow: req.Flow}
+	rep := &reply{ID: req.ID, Client: req.Client, Flow: req.Flow, Op: req.Op}
 	switch req.Op {
 	case opRead:
 		srv.Stats.Reads++
@@ -207,16 +207,18 @@ func (srv *Server) service(p *sim.Proc, req *request) *reply {
 			rep.Err = "no remote copy"
 			return rep
 		}
-		buf := make([]byte, vm.PageSize)
 		req.ssp.BeginHop("load")
 		rep.ServiceStart = srv.s.Now()
-		if err := srv.store.Read(p, srv.blok.BlockOffset(blok), int(srv.blok.BlokBlocks()), buf); err != nil {
+		// The store allocates a buffer only for a page that holds data,
+		// and the reply takes it over.
+		page, err := srv.store.ReadSpanned(p, srv.blok.BlockOffset(blok), int(srv.blok.BlokBlocks()), nil, nil)
+		if err != nil {
 			srv.Stats.Errors++
 			rep.Err = err.Error()
 			return rep
 		}
 		rep.ServiceEnd = srv.s.Now()
-		rep.Data = buf
+		rep.Page = page
 		rep.Txns = 1
 		srv.Stats.Txns++
 		srv.Stats.PagesRead++
@@ -224,7 +226,7 @@ func (srv *Server) service(p *sim.Proc, req *request) *reply {
 
 	case opWrite:
 		srv.Stats.Writes++
-		if len(req.Data) != len(req.VPNs)*int(vm.PageSize) {
+		if !req.wellFormedWrite() {
 			srv.Stats.Errors++
 			rep.Err = "malformed write"
 			return rep
@@ -248,6 +250,47 @@ func (srv *Server) service(p *sim.Proc, req *request) *reply {
 		rep.Err = "unknown op"
 		return rep
 	}
+}
+
+// wellFormedWrite reports whether a write carries one page value per VPN.
+func (r *request) wellFormedWrite() bool {
+	if r.Pages == nil {
+		return true
+	}
+	if len(r.Pages) != len(r.VPNs) {
+		return false
+	}
+	for _, pg := range r.Pages {
+		if pg != nil && len(pg) != int(vm.PageSize) {
+			return false
+		}
+	}
+	return true
+}
+
+// merge returns the pages at idx, which one store write lays down back to
+// back, as a single page value: nil when they are all zero, the request's
+// own page for a run of one (the request is dropped after service, so the
+// store takes the page as it is), and otherwise a fresh concatenation.
+func (r *request) merge(idx []int) []byte {
+	zero := true
+	for _, i := range idx {
+		if r.page(i) != nil {
+			zero = false
+			break
+		}
+	}
+	switch {
+	case zero:
+		return nil
+	case len(idx) == 1:
+		return r.page(idx[0])
+	}
+	buf := make([]byte, len(idx)*int(vm.PageSize))
+	for k, i := range idx {
+		copy(buf[k*int(vm.PageSize):], r.page(i))
+	}
+	return buf
 }
 
 // writeBatch allocates bloks for new pages (as a contiguous run when
@@ -307,11 +350,7 @@ func (srv *Server) writeBatch(p *sim.Proc, req *request) (int, error) {
 		for at+run < len(order) && bloks[order[at+run]] == bloks[order[at+run-1]]+1 {
 			run++
 		}
-		buf := make([]byte, 0, run*int(vm.PageSize))
-		for k := 0; k < run; k++ {
-			i := order[at+k]
-			buf = append(buf, req.Data[i*int(vm.PageSize):(i+1)*int(vm.PageSize)]...)
-		}
+		buf := req.merge(order[at : at+run])
 		if err := srv.store.Write(p, srv.blok.BlockOffset(bloks[order[at]]), run*blocks, buf); err != nil {
 			return txns, err
 		}

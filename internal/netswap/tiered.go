@@ -170,42 +170,46 @@ func (t *TieredBacking) noteRemote(start sim.Time, err error) {
 	}
 }
 
-// ReadPage implements stretchdrv.Backing: local tier first (fast), remote
+// LoadPage implements stretchdrv.Backing: local tier first (fast), remote
 // otherwise — retrying forever, because the page exists nowhere else. Only
 // the faulting domain's process waits.
-func (t *TieredBacking) ReadPage(p *sim.Proc, va vm.VA, buf []byte, sp *obs.Span) error {
+func (t *TieredBacking) LoadPage(p *sim.Proc, va vm.VA, buf []byte, sp *obs.Span) ([]byte, error) {
 	if t.local.HasCopy(va) {
 		t.Stats.LocalHits++
 		t.cLocalHits.Inc()
-		return t.local.ReadPage(p, va, buf, sp)
+		return t.local.LoadPage(p, va, buf, sp)
 	}
 	for {
 		start := t.s.Now()
-		err := t.remote.ReadPage(p, va, buf, sp)
+		page, err := t.remote.LoadPage(p, va, buf, sp)
 		t.noteRemote(start, err)
 		if err == nil {
-			break
+			t.Stats.RemoteReads++
+			t.cRemoteReads.Inc()
+			if !t.opt.NoPromote {
+				t.promote(p, va, page)
+			}
+			return page, nil
 		}
 		if !errors.Is(err, ErrRemoteTimeout) {
-			return err // definitive server error; retrying cannot help
+			return nil, err // definitive server error; retrying cannot help
 		}
 		t.Stats.ReadRetryWaits++
 		p.Sleep(t.opt.RetryEvery)
 	}
-	t.Stats.RemoteReads++
-	t.cRemoteReads.Inc()
-	if !t.opt.NoPromote {
-		t.promote(p, va, buf)
-	}
-	return nil
+}
+
+// ReadPage fills buf with va's page (see stretchdrv.ReadPage).
+func (t *TieredBacking) ReadPage(p *sim.Proc, va vm.VA, buf []byte, sp *obs.Span) error {
+	return stretchdrv.ReadPage(t, p, va, buf, sp)
 }
 
 // promote writes a remote-read page into the local tier so the next fault on
-// it stays off the network. A full local tier just skips the promotion.
-func (t *TieredBacking) promote(p *sim.Proc, va vm.VA, buf []byte) {
-	data := make([]byte, len(buf))
-	copy(data, buf)
-	if _, err := t.local.WritePages(p, []stretchdrv.DirtyPage{{VA: va, Data: data}}, nil); err != nil {
+// it stays off the network. A full local tier just skips the promotion. The
+// local write copies the page before returning, so page needs no copy of
+// its own.
+func (t *TieredBacking) promote(p *sim.Proc, va vm.VA, page []byte) {
+	if _, err := t.local.WritePages(p, []stretchdrv.DirtyPage{{VA: va, Data: page}}, nil); err != nil {
 		t.Stats.PromoteSkips++
 		return
 	}

@@ -1,6 +1,9 @@
 package obs
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // Fork returns a deep copy of the registry reading time from now (the forked
 // simulator's clock). Metric creation order, the finished-span ring, hop
@@ -8,8 +11,8 @@ import "fmt"
 // all copied exactly, so exports from the fork are byte-identical to exports
 // the parent would have produced.
 //
-// Pointer identity between the maps is preserved: spanStats caches the very
-// *Histogram values hists/hopHists index, so the copy goes through an
+// Pointer identity is preserved: spanStats caches the very *Histogram
+// values the histogram slab and hopHists hold, so the copy goes through an
 // identity map. The span free list is not copied — it is a transparent
 // allocation cache; a fork that records spans simply allocates fresh ones.
 //
@@ -24,12 +27,13 @@ func (r *Registry) Fork(now Clock) (*Registry, error) {
 	}
 	nr := &Registry{
 		now:        now,
-		counters:   make(map[Key]*Counter, len(r.counters)),
-		gauges:     make(map[Key]*Gauge, len(r.gauges)),
-		hists:      make(map[Key]*Histogram, len(r.hists)),
-		corder:     append([]Key(nil), r.corder...),
-		gorder:     append([]Key(nil), r.gorder...),
-		horder:     append([]Key(nil), r.horder...),
+		counters:   r.counters.clone(),
+		gauges:     r.gauges.clone(),
+		hists:      r.hists.clone(),
+		nameIDs:    maps.Clone(r.nameIDs),
+		names:      append([][2]string(nil), r.names...),
+		domIDs:     maps.Clone(r.domIDs),
+		doms:       append([]domainMetrics(nil), r.doms...),
 		hopHists:   make(map[hopKey]*Histogram, len(r.hopHists)),
 		hopOrder:   append([]hopKey(nil), r.hopOrder...),
 		spanStats:  make(map[spanKey]*spanStats, len(r.spanStats)),
@@ -44,13 +48,25 @@ func (r *Registry) Fork(now Clock) (*Registry, error) {
 		auditHead:  r.auditHead,
 		auditTotal: r.auditTotal,
 	}
-	for k, c := range r.counters {
-		nr.counters[k] = &Counter{r: nr, v: c.v, at: c.at}
+	for i := range nr.counters.len() {
+		nr.counters.at(i).r = nr
 	}
-	for k, g := range r.gauges {
-		nr.gauges[k] = &Gauge{r: nr, v: g.v, at: g.at}
+	for i := range nr.gauges.len() {
+		nr.gauges.at(i).r = nr
 	}
-	hm := make(map[*Histogram]*Histogram, len(r.hists)+len(r.hopHists))
+	hm := make(map[*Histogram]*Histogram, int(r.hists.len())+len(r.hopHists))
+	rehome := func(nh *Histogram) {
+		nh.r = nr
+		if nh.counts != nil {
+			c := *nh.counts
+			nh.counts = &c
+		}
+	}
+	for i := range nr.hists.len() {
+		nh := nr.hists.at(i)
+		rehome(nh)
+		hm[r.hists.at(i)] = nh
+	}
 	cloneHist := func(h *Histogram) *Histogram {
 		if h == nil {
 			return nil
@@ -58,20 +74,11 @@ func (r *Registry) Fork(now Clock) (*Registry, error) {
 		if nh, ok := hm[h]; ok {
 			return nh
 		}
-		nh := &Histogram{
-			r:      nr,
-			counts: append([]int64(nil), h.counts...),
-			count:  h.count,
-			sum:    h.sum,
-			min:    h.min,
-			max:    h.max,
-			at:     h.at,
-		}
+		nh := new(Histogram)
+		*nh = *h
+		rehome(nh)
 		hm[h] = nh
 		return nh
-	}
-	for k, h := range r.hists {
-		nr.hists[k] = cloneHist(h)
 	}
 	for k, h := range r.hopHists {
 		nr.hopHists[k] = cloneHist(h)
@@ -84,10 +91,10 @@ func (r *Registry) Fork(now Clock) (*Registry, error) {
 		nr.spanStats[k] = nss
 	}
 	if r.cEvicted != nil {
-		nr.cEvicted = nr.counters[Key{"obs", "spans_evicted", ""}]
+		nr.cEvicted = nr.LookupCounter("obs", "spans_evicted", "")
 	}
 	if r.cAuditEvicted != nil {
-		nr.cAuditEvicted = nr.counters[Key{"obs", "audit_evicted", ""}]
+		nr.cAuditEvicted = nr.LookupCounter("obs", "audit_evicted", "")
 	}
 	nr.spans = make([]*Span, len(r.spans))
 	for i, s := range r.spans {

@@ -407,3 +407,22 @@ func TestPooledSpansPreserveHopsUnderChurn(t *testing.T) {
 		}
 	}
 }
+
+func TestSlabLocate(t *testing.T) {
+	var s slab[int32]
+	for i := int32(0); i < 5000; i++ {
+		p, at := s.add()
+		if at != i {
+			t.Fatalf("add returned index %d, want %d", at, i)
+		}
+		*p = i
+	}
+	for i := int32(0); i < s.len(); i++ {
+		if *s.at(i) != i {
+			t.Fatalf("element %d holds %d", i, *s.at(i))
+		}
+	}
+	if len(s.blocks) != 4+(5000-slabRamp+255)/256 {
+		t.Fatalf("%d blocks for 5000 elements", len(s.blocks))
+	}
+}

@@ -54,12 +54,15 @@ const DefaultAuditCap = 65536
 type Registry struct {
 	now Clock
 
-	counters map[Key]*Counter
-	gauges   map[Key]*Gauge
-	hists    map[Key]*Histogram
-	corder   []Key
-	gorder   []Key
-	horder   []Key
+	// Metric handles in creation order, and the index that names them
+	// (see index.go).
+	counters slab[Counter]
+	gauges   slab[Gauge]
+	hists    slab[Histogram]
+	nameIDs  map[[2]string]uint32
+	names    [][2]string
+	domIDs   map[string]uint32
+	doms     []domainMetrics
 
 	hopHists map[hopKey]*Histogram
 	hopOrder []hopKey
@@ -108,9 +111,8 @@ func NewRegistry(now Clock) *Registry {
 	}
 	return &Registry{
 		now:       now,
-		counters:  make(map[Key]*Counter),
-		gauges:    make(map[Key]*Gauge),
-		hists:     make(map[Key]*Histogram),
+		nameIDs:   make(map[[2]string]uint32),
+		domIDs:    make(map[string]uint32),
 		hopHists:  make(map[hopKey]*Histogram),
 		spanStats: make(map[spanKey]*spanStats),
 		spanCap:   DefaultSpanCap,
@@ -198,13 +200,13 @@ func (r *Registry) Counter(subsystem, name, domain string) *Counter {
 	if r == nil {
 		return nil
 	}
-	k := Key{subsystem, name, domain}
-	c, ok := r.counters[k]
-	if !ok {
-		c = &Counter{r: r}
-		r.counters[k] = c
-		r.corder = append(r.corder, k)
+	nid, did := r.intern(subsystem, name, domain)
+	if i := r.find(counterKind, nid, did); i >= 0 {
+		return r.counters.at(i)
 	}
+	c, i := r.counters.add()
+	c.r = r
+	r.link(counterKind, &c.series, i, nid, did)
 	return c
 }
 
@@ -213,13 +215,13 @@ func (r *Registry) Gauge(subsystem, name, domain string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	k := Key{subsystem, name, domain}
-	g, ok := r.gauges[k]
-	if !ok {
-		g = &Gauge{r: r}
-		r.gauges[k] = g
-		r.gorder = append(r.gorder, k)
+	nid, did := r.intern(subsystem, name, domain)
+	if i := r.find(gaugeKind, nid, did); i >= 0 {
+		return r.gauges.at(i)
 	}
+	g, i := r.gauges.add()
+	g.r = r
+	r.link(gaugeKind, &g.series, i, nid, did)
 	return g
 }
 
@@ -229,13 +231,13 @@ func (r *Registry) Histogram(subsystem, name, domain string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	k := Key{subsystem, name, domain}
-	h, ok := r.hists[k]
-	if !ok {
-		h = newHistogram(r)
-		r.hists[k] = h
-		r.horder = append(r.horder, k)
+	nid, did := r.intern(subsystem, name, domain)
+	if i := r.find(histKind, nid, did); i >= 0 {
+		return r.hists.at(i)
 	}
+	h, i := r.hists.add()
+	h.r = r
+	r.link(histKind, &h.series, i, nid, did)
 	return h
 }
 
@@ -246,7 +248,10 @@ func (r *Registry) LookupCounter(subsystem, name, domain string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.counters[Key{subsystem, name, domain}]
+	if i := r.lookup(counterKind, subsystem, name, domain); i >= 0 {
+		return r.counters.at(i)
+	}
+	return nil
 }
 
 // LookupGauge returns the gauge for key, or nil if it has never been
@@ -255,7 +260,10 @@ func (r *Registry) LookupGauge(subsystem, name, domain string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.gauges[Key{subsystem, name, domain}]
+	if i := r.lookup(gaugeKind, subsystem, name, domain); i >= 0 {
+		return r.gauges.at(i)
+	}
+	return nil
 }
 
 // LookupHistogram returns the histogram for key, or nil if it has never
@@ -264,7 +272,10 @@ func (r *Registry) LookupHistogram(subsystem, name, domain string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.hists[Key{subsystem, name, domain}]
+	if i := r.lookup(histKind, subsystem, name, domain); i >= 0 {
+		return r.hists.at(i)
+	}
+	return nil
 }
 
 // Counter is a monotonically increasing count, stamped with the simulated
@@ -273,6 +284,7 @@ type Counter struct {
 	r  *Registry
 	v  int64
 	at sim.Time
+	series
 }
 
 // Inc adds one.
@@ -308,6 +320,7 @@ type Gauge struct {
 	r  *Registry
 	v  int64
 	at sim.Time
+	series
 }
 
 // Set stores v. Safe on a nil receiver.
@@ -348,7 +361,7 @@ func (g *Gauge) Updated() sim.Time {
 // exponential from 1 µs, doubling, up to ~67 s, plus an implicit overflow
 // bucket. Fault-path latencies (tens of ns to seconds) all land inside.
 var histBuckets = func() []time.Duration {
-	out := make([]time.Duration, 27)
+	out := make([]time.Duration, histSlots-1)
 	b := time.Microsecond
 	for i := range out {
 		out[i] = b
@@ -357,21 +370,24 @@ var histBuckets = func() []time.Duration {
 	return out
 }()
 
+// histSlots is the bucket count of a histogram: len(histBuckets) bounded
+// buckets plus the overflow.
+const histSlots = 28
+
 // Histogram is a fixed-bucket latency histogram with exact count, sum, min
 // and max, and bucket-interpolated quantiles.
 type Histogram struct {
 	r      *Registry
-	counts []int64 // len(histBuckets)+1; last is overflow
+	counts *[histSlots]int64 // last is overflow; nil until the first sample
 	count  int64
 	sum    time.Duration
 	min    time.Duration
 	max    time.Duration
 	at     sim.Time
+	series // zero for a hop histogram, which the registry keys elsewhere
 }
 
-func newHistogram(r *Registry) *Histogram {
-	return &Histogram{r: r, counts: make([]int64, len(histBuckets)+1)}
-}
+func newHistogram(r *Registry) *Histogram { return &Histogram{r: r} }
 
 // Observe records one latency sample. Safe on a nil receiver.
 func (h *Histogram) Observe(d time.Duration) {
@@ -384,6 +400,9 @@ func (h *Histogram) Observe(d time.Duration) {
 	i := 0
 	for i < len(histBuckets) && d > histBuckets[i] {
 		i++
+	}
+	if h.counts == nil {
+		h.counts = new([histSlots]int64)
 	}
 	h.counts[i]++
 	h.count++
@@ -515,18 +534,21 @@ func msStr(d time.Duration) *string {
 
 func (r *Registry) metricRows() []metricRow {
 	var rows []metricRow
-	for _, k := range r.corder {
-		c := r.counters[k]
+	for i := range r.counters.len() {
+		c := r.counters.at(i)
+		k := r.key(c.series)
 		v := c.v
 		rows = append(rows, metricRow{Type: "counter", Subsystem: k.Subsystem, Name: k.Name, Domain: k.Domain, Value: &v, UpdatedMs: c.at.Milliseconds()})
 	}
-	for _, k := range r.gorder {
-		g := r.gauges[k]
+	for i := range r.gauges.len() {
+		g := r.gauges.at(i)
+		k := r.key(g.series)
 		v := g.v
 		rows = append(rows, metricRow{Type: "gauge", Subsystem: k.Subsystem, Name: k.Name, Domain: k.Domain, Value: &v, UpdatedMs: g.at.Milliseconds()})
 	}
-	for _, k := range r.horder {
-		h := r.hists[k]
+	for i := range r.hists.len() {
+		h := r.hists.at(i)
+		k := r.key(h.series)
 		n := h.count
 		rows = append(rows, metricRow{
 			Type: "histogram", Subsystem: k.Subsystem, Name: k.Name, Domain: k.Domain,

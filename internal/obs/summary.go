@@ -195,16 +195,17 @@ func (r *Registry) Summarize(topK int) *Summary {
 	s.AuditEvicted = r.cAuditEvicted.Value()
 	s.Flags = int64(len(r.flags))
 
-	cidx := map[[2]string]int{}
-	for _, k := range r.corder {
-		key := [2]string{k.Subsystem, k.Name}
-		i, ok := cidx[key]
+	cidx := map[uint32]int{}
+	for ci := range r.counters.len() {
+		c := r.counters.at(ci)
+		i, ok := cidx[c.name]
 		if !ok {
 			i = len(s.Counters)
-			cidx[key] = i
-			s.Counters = append(s.Counters, SummaryCounter{Subsystem: k.Subsystem, Name: k.Name})
+			cidx[c.name] = i
+			n := r.names[c.name]
+			s.Counters = append(s.Counters, SummaryCounter{Subsystem: n[0], Name: n[1]})
 		}
-		s.Counters[i].Value += r.counters[k].v
+		s.Counters[i].Value += c.v
 	}
 	sortCounters(s.Counters)
 
@@ -224,11 +225,12 @@ func (r *Registry) Summarize(topK int) *Summary {
 	// latency into a ("span", "e2e."+class, domain) histogram, so the sums
 	// survive span-ring eviction.
 	didx := map[string]int{}
-	for _, k := range r.horder {
+	for hi := range r.hists.len() {
+		h := r.hists.at(hi)
+		k := r.key(h.series)
 		if k.Subsystem != "span" || !strings.HasPrefix(k.Name, "e2e.") {
 			continue
 		}
-		h := r.hists[k]
 		i, ok := didx[k.Domain]
 		if !ok {
 			i = len(s.TopDomains)

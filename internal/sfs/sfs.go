@@ -146,28 +146,38 @@ func (f *SwapFile) checkRange(offset int64, count int) error {
 // Read fills buf with count blocks starting at file-relative block offset,
 // blocking p until the USD completes the transaction.
 func (f *SwapFile) Read(p *sim.Proc, offset int64, count int, buf []byte) error {
-	return f.ReadSpanned(p, offset, count, buf, nil)
+	data, err := f.ReadSpanned(p, offset, count, buf, nil)
+	if err == nil && data == nil {
+		clear(buf)
+	}
+	return err
 }
 
-// ReadSpanned is Read, additionally stamping the transaction's phases onto
-// sp (which may be nil): hop "usd.queue" covers submission to service
-// start, "usd.read" the disk service itself, and "usd.complete" the
-// completion delivery back to the faulting thread. The USD records exact
-// service start/completion instants on the request, so the hops are split
-// retroactively but stay contiguous.
-func (f *SwapFile) ReadSpanned(p *sim.Proc, offset int64, count int, buf []byte, sp *obs.Span) error {
+// ReadSpanned reads count blocks starting at file-relative block offset
+// and returns them as a page value: nil when they all read as zero (buf is
+// then untouched), otherwise buf filled (allocated when nil). It
+// additionally stamps the transaction's phases onto sp (which may be nil):
+// hop "usd.queue" covers submission to service start, "usd.read" the disk
+// service itself, and "usd.complete" the completion delivery back to the
+// faulting thread. The USD records exact service start/completion instants
+// on the request, so the hops are split retroactively but stay contiguous.
+func (f *SwapFile) ReadSpanned(p *sim.Proc, offset int64, count int, buf []byte, sp *obs.Span) ([]byte, error) {
 	if err := f.checkRange(offset, count); err != nil {
-		return err
+		return nil, err
 	}
 	sp.BeginHop("usd.queue")
 	req := &usd.Request{Op: disk.Read, Block: f.extent.Start + offset, Count: count, Data: buf}
 	_, err := f.ch.Do(p, req)
 	sp.SplitHop(req.Started(), "usd.read")
 	sp.SplitHop(req.Completed(), "usd.complete")
-	return err
+	if err != nil || req.Zero {
+		return nil, err
+	}
+	return req.Data, nil
 }
 
-// Write stores count blocks from buf at file-relative block offset.
+// Write stores count blocks from buf at file-relative block offset. A nil
+// buf writes zeros.
 func (f *SwapFile) Write(p *sim.Proc, offset int64, count int, buf []byte) error {
 	return f.WriteSpanned(p, offset, count, buf, nil)
 }

@@ -13,7 +13,9 @@ import (
 )
 
 // DirtyPage is one page of a cleaning batch: the page's base address and a
-// snapshot of its contents taken before the write was issued.
+// snapshot of its contents taken before the write was issued. Data is a
+// page value: nil for a page of zeros, which every backing stores without
+// moving a byte.
 type DirtyPage struct {
 	VA   vm.VA
 	Data []byte
@@ -29,14 +31,35 @@ type Backing interface {
 	Name() string
 	// HasCopy reports whether the store holds a current copy of va's page.
 	HasCopy(va vm.VA) bool
-	// ReadPage fills buf with va's page, blocking p on the disk.
-	ReadPage(p *sim.Proc, va vm.VA, buf []byte, sp *obs.Span) error
+	// LoadPage reads va's page, blocking p on the store, and returns it as
+	// a page value: nil when the page is all zeros (buf is then
+	// untouched), otherwise PageSize bytes — buf filled, or a buffer the
+	// backing hands over, which the caller may keep.
+	LoadPage(p *sim.Proc, va vm.VA, buf []byte, sp *obs.Span) ([]byte, error)
 	// WritePages cleans a batch, returning how many disk transactions it
 	// took. On return every written page has a current copy (HasCopy true).
 	WritePages(p *sim.Proc, pages []DirtyPage, sp *obs.Span) (txns int, err error)
 }
 
-// ErrNoCopy is returned by a Backing's ReadPage when the store holds no
+// ReadPage reads va's page from b into buf, zeros included: LoadPage for
+// callers that want the bytes rather than a page value.
+func ReadPage(b Backing, p *sim.Proc, va vm.VA, buf []byte, sp *obs.Span) error {
+	page, err := b.LoadPage(p, va, buf, sp)
+	if err == nil {
+		if page == nil {
+			clear(buf)
+		} else {
+			copy(buf, page)
+		}
+	}
+	return err
+}
+
+// zeroPage is the bytes of a zero page, for the rare write that merges zero
+// and non-zero pages into one transfer.
+var zeroPage [vm.PageSize]byte
+
+// ErrNoCopy is returned by a Backing's LoadPage when the store holds no
 // current copy of the requested page (HasCopy would report false). Engines
 // check HasCopy first, so seeing it indicates a pager bug or a raced drop.
 var ErrNoCopy = errors.New("stretchdrv: no backing copy of page")
@@ -62,6 +85,35 @@ func (p *scratchPool) get() *writeScratch {
 		return s
 	}
 	return &writeScratch{}
+}
+
+// merge returns the pages at idx, which one disk write stores back to back,
+// as a single page value: nil when every page is zero, the page itself for
+// a run of one, and otherwise the pages copied into the scratch buffer.
+func (s *writeScratch) merge(pages []DirtyPage, idx []int) []byte {
+	zero := true
+	for _, i := range idx {
+		if pages[i].Data != nil {
+			zero = false
+			break
+		}
+	}
+	switch {
+	case zero:
+		return nil
+	case len(idx) == 1:
+		return pages[idx[0]].Data
+	}
+	buf := s.buf[:0]
+	for _, i := range idx {
+		if d := pages[i].Data; d != nil {
+			buf = append(buf, d...)
+		} else {
+			buf = append(buf, zeroPage[:]...)
+		}
+	}
+	s.buf = buf
+	return buf
 }
 
 func (p *scratchPool) put(s *writeScratch) {
@@ -139,16 +191,21 @@ func (b *SwapBacking) DiskBlock(va vm.VA) (int64, bool) {
 	return b.swap.Extent().Start + b.blok.BlockOffset(pi.blok), true
 }
 
-// ReadPage implements Backing. A page that was never cleaned (or was
+// LoadPage implements Backing. A page that was never cleaned (or was
 // dropped) has no swap copy to read; that is ErrNoCopy, not a read of a
 // bogus disk offset.
-func (b *SwapBacking) ReadPage(p *sim.Proc, va vm.VA, buf []byte, sp *obs.Span) error {
+func (b *SwapBacking) LoadPage(p *sim.Proc, va vm.VA, buf []byte, sp *obs.Span) ([]byte, error) {
 	pi, ok := b.pages[vm.PageOf(va)]
 	if !ok || pi.blok < 0 || !pi.onDisk {
-		return fmt.Errorf("%w: va %#x", ErrNoCopy, uint64(va))
+		return nil, fmt.Errorf("%w: va %#x", ErrNoCopy, uint64(va))
 	}
 	off := b.blok.BlockOffset(pi.blok)
 	return b.swap.ReadSpanned(p, off, int(b.blok.BlokBlocks()), buf, sp)
+}
+
+// ReadPage fills buf with va's page (see the package-level ReadPage).
+func (b *SwapBacking) ReadPage(p *sim.Proc, va vm.VA, buf []byte, sp *obs.Span) error {
+	return ReadPage(b, p, va, buf, sp)
 }
 
 // Drop forgets va's swap copy and frees its blok (the tiered backing demotes
@@ -221,11 +278,7 @@ func (b *SwapBacking) WritePages(p *sim.Proc, pages []DirtyPage, sp *obs.Span) (
 			run++
 		}
 		blocks := int(b.blok.BlokBlocks())
-		buf := sc.buf[:0]
-		for k := 0; k < run; k++ {
-			buf = append(buf, pages[order[at+k]].Data...)
-		}
-		sc.buf = buf
+		buf := sc.merge(pages, order[at:at+run])
 		off := b.blok.BlockOffset(infos[order[at]].blok)
 		if err := b.swap.WriteSpanned(p, off, run*blocks, buf, sp); err != nil {
 			return txns, err
@@ -269,8 +322,8 @@ func (b *MappedBacking) fileOffset(va vm.VA) int64 {
 	return page * int64(vm.PageSize/int64(disk.BlockSize))
 }
 
-// ReadPage implements Backing.
-func (b *MappedBacking) ReadPage(p *sim.Proc, va vm.VA, buf []byte, sp *obs.Span) error {
+// LoadPage implements Backing.
+func (b *MappedBacking) LoadPage(p *sim.Proc, va vm.VA, buf []byte, sp *obs.Span) ([]byte, error) {
 	return b.file.ReadSpanned(p, b.fileOffset(va), int(vm.PageSize/int64(disk.BlockSize)), buf, sp)
 }
 
@@ -293,11 +346,7 @@ func (b *MappedBacking) WritePages(p *sim.Proc, pages []DirtyPage, sp *obs.Span)
 		for at+run < len(order) && pages[order[at+run]].VA == pages[order[at+run-1]].VA+vm.VA(vm.PageSize) {
 			run++
 		}
-		buf := sc.buf[:0]
-		for k := 0; k < run; k++ {
-			buf = append(buf, pages[order[at+k]].Data...)
-		}
-		sc.buf = buf
+		buf := sc.merge(pages, order[at:at+run])
 		off := b.fileOffset(pages[order[at]].VA)
 		if err := b.file.WriteSpanned(p, off, run*pageBlocks, buf, sp); err != nil {
 			return txns, err

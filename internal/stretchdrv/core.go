@@ -58,9 +58,10 @@ type Engine struct {
 
 	// bufs and batches are free lists of page-sized buffers and cleaning
 	// batches. Page contents only live in them transiently (page-in reads,
-	// write-back snapshots); every backing copies payloads into its own
-	// buffers before its blocking call returns, so a checked-out buffer can
-	// be recycled as soon as the read or write completes. The cooperative
+	// write-back snapshots of non-zero pages); every backing copies payloads
+	// into its own buffers before its blocking call returns, so a
+	// checked-out buffer can be recycled as soon as the read or write
+	// completes. The cooperative
 	// process model makes get/put pairs atomic between blocking points, so
 	// concurrent checkouts (worker eviction vs. a user-thread Sync) simply
 	// draw different buffers.
@@ -123,6 +124,18 @@ func (e *Engine) getPageBuf() []byte {
 		return b
 	}
 	return make([]byte, vm.PageSize)
+}
+
+// snapshot copies pfn's contents into a pooled buffer for a cleaning batch,
+// or returns nil, the zero page value, for a frame that reads as zero.
+func (e *Engine) snapshot(pfn mem.PFN) []byte {
+	page := e.env().Store.Page(pfn)
+	if page == nil {
+		return nil
+	}
+	buf := e.getPageBuf()
+	copy(buf, page)
+	return buf
 }
 
 // putPageBuf returns a buffer to the free list.
@@ -228,12 +241,12 @@ func (e *Engine) SatisfyFault(p *sim.Proc, f *vm.Fault, canIDC bool) domain.Resu
 	if needsPageIn {
 		// The read lands in a pooled buffer rather than the frame itself:
 		// another process could claim the unused frame while this one blocks
-		// on the disk, and every backing fills (or copies into) buf before
-		// returning, so recycling it immediately after the copy is safe.
+		// on the disk, and the frame takes a copy of the page, so recycling
+		// buf straight after is safe. A zero page moves no bytes at all.
 		buf := e.getPageBuf()
-		err := e.backing.ReadPage(p, va, buf, f.Span)
+		page, err := e.backing.LoadPage(p, va, buf, f.Span)
 		if err == nil {
-			copy(e.env().Store.Frame(pfn), buf)
+			e.env().Store.SetPage(pfn, page)
 		}
 		e.putPageBuf(buf)
 		if err != nil {
@@ -319,9 +332,7 @@ func (e *Engine) evictOne(p *sim.Proc, sp *obs.Span) (mem.PFN, error) {
 // dirty resident pages (in eviction order, so the pages cleaned early are
 // the ones leaving soonest anyway) into one cleaning batch.
 func (e *Engine) gatherCluster(va vm.VA, pfn mem.PFN) []DirtyPage {
-	buf := e.getPageBuf()
-	copy(buf, e.env().Store.Frame(pfn))
-	batch := append(e.getBatch(), DirtyPage{VA: va, Data: buf})
+	batch := append(e.getBatch(), DirtyPage{VA: va, Data: e.snapshot(pfn)})
 	if e.cluster <= 1 {
 		return batch
 	}
@@ -334,9 +345,7 @@ func (e *Engine) gatherCluster(va vm.VA, pfn mem.PFN) []DirtyPage {
 		if pte == nil || !pte.Valid || !pte.Dirty {
 			continue
 		}
-		data := e.getPageBuf()
-		copy(data, e.env().Store.Frame(pte.PFN))
-		batch = append(batch, DirtyPage{VA: other, Data: data})
+		batch = append(batch, DirtyPage{VA: other, Data: e.snapshot(pte.PFN)})
 	}
 	return batch
 }
@@ -368,7 +377,9 @@ func (e *Engine) Sync(p *sim.Proc) error {
 			pte.Attr.FOW = true
 		}
 		for i := range batch {
-			e.putPageBuf(batch[i].Data)
+			if batch[i].Data != nil {
+				e.putPageBuf(batch[i].Data)
+			}
 			batch[i] = DirtyPage{}
 		}
 		batch, ptes = batch[:0], ptes[:0]
@@ -379,9 +390,7 @@ func (e *Engine) Sync(p *sim.Proc) error {
 		if pte == nil || !pte.Valid || !pte.Dirty {
 			continue
 		}
-		data := e.getPageBuf()
-		copy(data, e.env().Store.Frame(pte.PFN))
-		batch = append(batch, DirtyPage{VA: va, Data: data})
+		batch = append(batch, DirtyPage{VA: va, Data: e.snapshot(pte.PFN)})
 		ptes = append(ptes, pte)
 		if len(batch) >= e.cluster {
 			if err := flush(); err != nil {

@@ -230,7 +230,11 @@ func (s *Streaming) prefetchLoop(t *domain.Thread) {
 			}
 			ok := req.Err == nil
 			if ok {
-				copy(s.env().Store.Frame(fl.pfn), req.Data)
+				if req.Zero {
+					s.env().Store.Zero(fl.pfn)
+				} else {
+					copy(s.env().Store.Frame(fl.pfn), req.Data)
+				}
 				s.stack().SetVA(fl.pfn, 0) // mapFrame re-sets it
 				if err := s.mapFrame(fl.vpn.Base(), fl.pfn); err != nil {
 					ok = false

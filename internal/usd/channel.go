@@ -15,13 +15,16 @@ var (
 )
 
 // Request is one disk transaction travelling over an IO channel. For writes
-// the caller supplies Data; for reads the USD fills Data (allocating it if
-// nil). Err carries the outcome back on the completion FIFO.
+// the caller supplies Data, or leaves it nil to write zeros. For reads the
+// USD fills Data (allocating it if nil) — unless every block read as zero:
+// then it sets Zero and leaves Data untouched, so a page of zeros moves no
+// bytes. Err carries the outcome back on the completion FIFO.
 type Request struct {
 	Op    disk.Op
 	Block int64 // absolute disk block
 	Count int   // number of blocks
 	Data  []byte
+	Zero  bool // read result: the blocks all read as zero
 	Err   error
 
 	// Tag is opaque to the USD; clients use it to match completions when
@@ -71,13 +74,7 @@ func (ch *Channel) Submit(p *sim.Proc, r *Request) error {
 	if r.Count <= 0 {
 		return ErrBadRequest
 	}
-	if r.Op == disk.Write && len(r.Data) != r.Count*disk.BlockSize {
-		return ErrBadRequest
-	}
-	if r.Op == disk.Read && r.Data == nil {
-		r.Data = make([]byte, r.Count*disk.BlockSize)
-	}
-	if r.Op == disk.Read && len(r.Data) != r.Count*disk.BlockSize {
+	if r.Data != nil && len(r.Data) != r.Count*disk.BlockSize {
 		return ErrBadRequest
 	}
 	r.submitted = p.Now()

@@ -370,7 +370,12 @@ func (u *USD) serve(p *sim.Proc, cl *client, slack bool) {
 	} else {
 		switch req.Op {
 		case disk.Read:
-			req.Err = u.disk.ReadAt(p, req.Block, req.Count, req.Data)
+			var data []byte
+			data, req.Err = u.disk.Read(p, req.Block, req.Count, req.Data)
+			req.Zero = req.Err == nil && data == nil
+			if data != nil {
+				req.Data = data
+			}
 		case disk.Write:
 			req.Err = u.disk.WriteAt(p, req.Block, req.Count, req.Data)
 		default:

@@ -269,8 +269,8 @@ func StartFSClient(sys *core.System, cfg FSClientConfig, series *trace.Series) (
 		next := cfg.Partition.Start
 		inflight := 0
 		// Completed requests are resubmitted rather than reallocated; their
-		// Data buffers (sized by the first Submit) ride along, so a
-		// steady-state client allocates nothing per read.
+		// Data buffers (allocated by the first read that returns data) ride
+		// along, so a steady-state client allocates nothing per read.
 		var free []*usd.Request
 		for !fc.stopped {
 			for inflight < cfg.Depth {
